@@ -1,7 +1,8 @@
 """Command-line front end: graph I/O, products, factoring, and reductions.
 
 Exit codes are fixed for scriptability: 0 success, 2 parse or usage error,
-3 size bound exceeded, 4 precondition violated.  ``--json`` switches every
+3 size bound exceeded, 4 precondition violated, 5 internal error (a
+result failed its own re-verification).  ``--json`` switches every
 subcommand to a single machine-readable run report on stdout.  The
 ``GRAPHPROD_MAX_NODES`` environment variable overrides the built-in size
 bounds.
@@ -19,6 +20,7 @@ from . import catalog, factorization, isomorphism, products, reduction
 from .core import (
     EdgeListParseError,
     Graph,
+    InternalError,
     PreconditionError,
     SizeLimitError,
     disjoint_union,
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 _ORACLES = {
     "factor-search": factorization.search_oracle,
@@ -349,6 +352,8 @@ def main(argv=None) -> int:
         return _fail(args, exc, EXIT_SIZE)
     except PreconditionError as exc:
         return _fail(args, exc, EXIT_PRECONDITION)
+    except InternalError as exc:
+        return _fail(args, exc, EXIT_INTERNAL)
     except OSError as exc:
         return _fail(args, exc, EXIT_PARSE)
 

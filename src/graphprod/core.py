@@ -20,9 +20,9 @@ ignored by every algorithm.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class GraphProdError(Exception):
 
 class SizeLimitError(GraphProdError):
     """An input exceeds a configured node bound."""
+
+
+class InternalError(GraphProdError):
+    """A result failed its own re-verification: a bug in this package."""
 
 
 class PreconditionError(GraphProdError):
@@ -66,7 +70,9 @@ class Graph:
     """Immutable undirected graph on nodes ``0..node_count-1``.
 
     ``edges`` may be given with endpoints in either order; they are
-    normalized to ``(min, max)`` tuples on construction.
+    normalized to ``(min, max)`` tuples on construction.  Derived views
+    (``loop_count``, ``adjacency_masks``) are computed on first use and
+    cached on the instance.
     """
 
     node_count: int
@@ -94,10 +100,19 @@ class Graph:
         """m, counting each self-loop as one edge."""
         return len(self.edges)
 
-    @property
+    @cached_property
     def loop_count(self) -> int:
         """s, the number of self-loops."""
         return sum(1 for u, v in self.edges if u == v)
+
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Adjacency matrix rows as int bitmasks: bit w of row v is A[v][w]."""
+        masks = [0] * self.node_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @property
     def nonzero_count(self) -> int:
@@ -140,51 +155,41 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph(n1 + g2.node_count, frozenset(edges), labels)
 
 
-def _adjacency_sets(g: Graph) -> list[set[int]]:
-    """Neighbor sets ignoring self-loops (used for traversals)."""
-    adj: list[set[int]] = [set() for _ in range(g.node_count)]
-    for u, v in g.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _levels(masks: Sequence[int], start: int) -> Iterator[int]:
+    """Breadth-first search from ``start``: each distance level as a bitmask."""
+    seen = frontier = 1 << start
+    while frontier:
+        yield frontier
+        reach = 0
+        for u in bits(frontier):
+            reach |= masks[u]
+        frontier = reach & ~seen
+        seen |= frontier
 
 
 def is_connected(g: Graph) -> bool:
     """True iff every node is reachable from node 0.  Rejects empty graphs."""
     if g.node_count == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    adj = _adjacency_sets(g)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.node_count
+    return sum(_levels(g.adjacency_masks, 0)) == (1 << g.node_count) - 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest node."""
-    adj = _adjacency_sets(g)
-    seen = [False] * g.node_count
+    left = (1 << g.node_count) - 1
     comps = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+    while left:
+        comp = sum(_levels(g.adjacency_masks, (left & -left).bit_length() - 1))
+        comps.append(list(bits(comp)))
+        left &= ~comp
     return comps
 
 
@@ -207,26 +212,22 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
 def bipartition(g: Graph) -> list[int] | None:
     """A proper 2-coloring as a 0/1 list, or None if none exists.
 
-    Any self-loop is an odd cycle of length one, so loopy graphs are never
-    bipartite.
+    A node's color is the parity of its distance from the smallest node of
+    its component.  Any self-loop is an odd cycle of length one, so loopy
+    graphs are never bipartite.
     """
     if g.loop_count > 0:
         return None
-    adj = _adjacency_sets(g)
-    color = [-1] * g.node_count
-    for start in range(g.node_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
+    masks = g.adjacency_masks
+    color = [0] * g.node_count
+    left = (1 << g.node_count) - 1
+    while left:
+        for depth, level in enumerate(_levels(masks, (left & -left).bit_length() - 1)):
+            left &= ~level
+            for u in bits(level):
+                if masks[u] & level:
                     return None
+                color[u] = depth & 1
     return color
 
 

@@ -9,14 +9,27 @@ nnz(A) must divide nnz(g), loop counts must factor likewise, a zero row of
 A forces isolated vertices g may not have, and a bipartite A cannot produce
 a nonbipartite g.
 
-For each surviving A the engine backtracks over assignments of (row, col)
-labels to g's vertices.  Cells of B are tri-state (unknown / 0 / 1),
-committed lazily as placements force them and recorded on a trail so
-backtracking restores state exactly.  Two further prunings keep exhaustive
-searches on ~20-node graphs inside desk scale: a vertex may only sit in row
-r if its adjacency row sum is divisible by A's row-r sum (row sums multiply
-in a Kronecker product), and untouched columns of B are interchangeable, so
-column candidates are the already-used ones plus the first fresh column.
+Everything the search needs from g itself (adjacency rows as bitmasks,
+neighbour lists, loop flags, row sums, the vertex order, the isolated-vertex
+count) is computed once per :func:`factor_search` call and shared by every
+candidate A.  For each surviving A the engine backtracks over assignments
+of (row, col) labels to g's vertices.  Each row of B is a pair of column
+bitmasks (cells known to be 1, cells known to be 0), committed lazily as
+placements force them and undone exactly on backtrack.  Per vertex and per
+row r of A the engine keeps the mask of columns whose row-r occupant is a
+neighbour, so checking a placement against every placed vertex costs O(a)
+big-int operations.  Three prunings keep exhaustive searches on ~20-node
+graphs inside desk scale, and each removes only branches that cannot
+complete, so they never change which witness is found first:
+
+* row sums multiply in a Kronecker product, so a vertex may only sit in
+  row r if its adjacency row sum is divisible by A's row-r sum;
+* once column c holds a vertex in a row with nonzero A row sum, B's row-c
+  sum is fixed, and vertex v may sit at (r, c) only if
+  rowsum(v) == rowsum_A(r) * rowsum_B(c);
+* untouched columns of B are interchangeable, so column candidates are the
+  already-used ones plus the first fresh column.
+
 Vertices are placed component by component in breadth-first order.
 
 Searches are deterministic: identical inputs explore candidates in the same
@@ -26,14 +39,18 @@ order and return identical witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
+from .catalog import D2
 from .core import (
     Graph,
+    InternalError,
     PreconditionError,
     SizeLimitError,
+    bits,
     connected_components,
     disjoint_union,
     induced_subgraph,
@@ -47,7 +64,6 @@ from .reduction import class_g_check
 
 DEFAULT_NODE_LIMIT = 20
 
-D2 = Graph(2, frozenset({(0, 0), (1, 1)}))
 I2_MATRIX = ((1, 0), (0, 1))
 
 
@@ -88,40 +104,22 @@ def witness_to_json(w: FactorizationWitness) -> dict:
     }
 
 
-def _vertex_order(g: Graph) -> list[int]:
-    """Components in order of their smallest vertex, BFS inside each."""
-    order: list[int] = []
-    for comp in connected_components(g):
-        comp_set = set(comp)
-        adj: dict[int, list[int]] = {v: [] for v in comp}
-        for u, v in g.edges:
-            if u != v and u in comp_set:
-                adj[u].append(v)
-                adj[v].append(u)
-        start = comp[0]
-        seen = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def _check_fixed_a(fixed_a, a: int) -> list[list[int]]:
+def _check_fixed_a(fixed_a, a: int) -> Matrix:
     mat = np.asarray(fixed_a)
     if mat.shape != (a, a):
         raise ValueError(f"fixed_a must be a {a}x{a} matrix")
     if not np.array_equal(mat, mat.T) or not np.isin(mat, (0, 1)).all():
         raise ValueError("fixed_a must be a symmetric 0/1 matrix")
-    return [[int(x) for x in row] for row in mat]
+    return tuple(tuple(int(x) for x in row) for row in mat)
 
 
-def _row_transitive(cells: list[list[int]], a: int) -> bool:
+@lru_cache(maxsize=4096)  # fixed_a matrices come from callers: keep it bounded
+def _row_transitive(cells: Matrix) -> bool:
     """Whether every row can be carried to row 0 by a symmetry of the matrix."""
+    a = len(cells)
     reachable = {0}
     for perm in permutations(range(a)):
         if all(cells[perm[i]][perm[j]] == cells[i][j] for i in range(a) for j in range(a)):
@@ -129,7 +127,8 @@ def _row_transitive(cells: list[list[int]], a: int) -> bool:
     return len(reachable) == a
 
 
-def _symmetric_matrices(a: int) -> list[list[list[int]]]:
+@lru_cache(maxsize=4)  # a <= 4 under the default node bound
+def _symmetric_matrices(a: int) -> tuple[Matrix, ...]:
     """All symmetric 0/1 a-by-a matrices, in ascending bitmask order."""
     cells = [(i, j) for i in range(a) for j in range(i, a)]
     out = []
@@ -138,45 +137,54 @@ def _symmetric_matrices(a: int) -> list[list[list[int]]]:
         for bit, (i, j) in enumerate(cells):
             if mask >> bit & 1:
                 mat[i][j] = mat[j][i] = 1
-        out.append(mat)
-    return out
+        out.append(tuple(map(tuple, mat)))
+    return tuple(out)
 
 
-def _vertex_rowsums(g: Graph) -> list[int]:
-    """Nonzero count per adjacency row (a loop contributes one)."""
-    sums = [0] * g.node_count
-    for u, v in g.edges:
-        sums[u] += 1
-        if u != v:
-            sums[v] += 1
-    return sums
+class _GraphView:
+    """Per-graph data shared by every left-factor candidate of one search."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        masks = g.adjacency_masks
+        self.rowsums = [mask.bit_count() for mask in masks]
+        self.loops = [mask >> v & 1 for v, mask in enumerate(masks)]
+        self.nbrs = nbrs = [[] for _ in masks]
+        for u, v in g.edges:
+            if u != v:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        self.isolated = self.rowsums.count(0)
+        # components in order of their smallest vertex, BFS inside each
+        self.order = order = []
+        seen = 0
+        for head in range(g.node_count):
+            if head == len(order):  # queue empty: next smallest unseen vertex
+                low = (seen + 1) & ~seen
+                seen |= low
+                order.append(low.bit_length() - 1)
+            for w in bits(masks[order[head]] & ~seen):
+                seen |= 1 << w
+                order.append(w)
 
 
-def _left_factor_feasible(a_cells: list[list[int]], g: Graph, g_bipartite: bool) -> bool:
+def _left_factor_feasible(a_cells: Matrix, view: _GraphView, g_bipartite: bool) -> bool:
     """Necessary counting conditions for g = A (x) B with this left factor."""
+    g = view.g
     a = len(a_cells)
+    b = g.node_count // a
     nz_a = sum(sum(row) for row in a_cells)
     nz_g = g.nonzero_count
-    if nz_g > 0:
-        if nz_a == 0 or nz_g % nz_a != 0:
-            return False
-        b = g.node_count // a
-        if nz_g // nz_a > b * b:
-            return False
+    if nz_g > 0 and (nz_a == 0 or nz_g % nz_a != 0 or nz_g // nz_a > b * b):
+        return False
     loops_a = sum(a_cells[i][i] for i in range(a))
     loops_g = g.loop_count
     if loops_g > 0 and loops_a == 0:
         return False
-    if loops_a > 0:
-        b = g.node_count // a
-        if loops_g % loops_a != 0 or loops_g // loops_a > b:
-            return False
-    zero_rows = sum(1 for row in a_cells if not any(row))
-    if zero_rows:
-        b = g.node_count // a
-        isolated = sum(1 for d in _vertex_rowsums(g) if d == 0)
-        if zero_rows * b > isolated:
-            return False
+    if loops_a > 0 and (loops_g % loops_a != 0 or loops_g // loops_a > b):
+        return False
+    if sum(1 for row in a_cells if not any(row)) * b > view.isolated:
+        return False
     if not g_bipartite:
         a_graph = Graph(
             a, frozenset((i, j) for i in range(a) for j in range(i, a) if a_cells[i][j])
@@ -188,143 +196,128 @@ def _left_factor_feasible(a_cells: list[list[int]], g: Graph, g_bipartite: bool)
 
 
 class _FactorSearch:
-    """Backtracking labeler for one fully specified left factor."""
+    """Backtracking labeler for one fully specified left factor.
 
-    def __init__(self, g: Graph, a: int, b: int, a_cells: list[list[int]], pin_first_row: bool):
-        self.g = g
-        self.n = g.node_count
+    Row k of B is two column bitmasks, ``ones[k]`` and ``zeros[k]``: the
+    cells known to be 1 and known to be 0.  ``nbr_cols[x * a + r]`` masks
+    the columns whose row-r occupant is a neighbour of vertex x, so checking
+    a placement against every placed vertex takes O(a) big-int operations.
+    """
+
+    def __init__(self, view: _GraphView, a: int, b: int, a_cells: Matrix, pin_first_row: bool):
+        self.view = view
         self.a = a
         self.b = b
-        n = self.n
-        self.adj = [[0] * n for _ in range(n)]
-        for u, v in g.edges:
-            self.adj[u][v] = 1
-            self.adj[v][u] = 1
         self.acell = a_cells
         self.pin_first_row = pin_first_row
+        self.a_rowsums = [sum(row) for row in a_cells]
+        self.linked = [[s for s in range(a) if row[s]] for row in a_cells]
+        self.unlinked = [[s for s in range(a) if not row[s]] for row in a_cells]
         # row sums multiply across a Kronecker product, so vertex v fits in
         # row r only if rowsum_A(r) divides its adjacency row sum
-        a_rowsums = [sum(row) for row in a_cells]
-        self.allowed_rows = []
-        for d in _vertex_rowsums(g):
-            rows = []
-            for r in range(a):
-                ar = a_rowsums[r]
-                if ar == 0:
-                    if d == 0:
-                        rows.append(r)
-                elif d % ar == 0 and d // ar <= b:
-                    rows.append(r)
-            self.allowed_rows.append(rows)
-        self.bcell = [[-1] * b for _ in range(b)]
-        self.trail: list[tuple[int, int]] = []
+        self.allowed_rows = [
+            [r for r, ar in enumerate(self.a_rowsums)
+             if (d % ar == 0 and d // ar <= b if ar else d == 0)]
+            for d in view.rowsums
+        ]
+        n = view.g.node_count
+        self.ones = [0] * b
+        self.zeros = [0] * b
+        self.nbr_cols = [0] * (n * a)
+        self.occupied = [0] * a  # column mask per row of A
+        # rowsum_B(c), fixed once column c holds a vertex in a row of A with
+        # a nonzero row sum; -1 while unknown
+        self.b_rowsums = [-1] * b
         self.rows = [-1] * n
         self.cols = [-1] * n
-        self.used = [[False] * b for _ in range(a)]
-        self.col_load = [0] * b
-        self.assigned: list[int] = []
-        self.order = _vertex_order(g)
 
-    def _constraints_ok(self, v: int, r: int, c: int) -> bool:
-        """Commit the B cells this placement forces; False on contradiction."""
-        adj_v = self.adj[v]
-        rows, cols = self.rows, self.cols
-        acell_r = self.acell[r]
-        bcell = self.bcell
-        trail = self.trail
-        for u in self.assigned:
-            e = adj_v[u]
-            if acell_r[rows[u]]:
-                cu = cols[u]
-                k, l = (c, cu) if c <= cu else (cu, c)
-                cur = bcell[k][l]
-                if cur < 0:
-                    bcell[k][l] = e
-                    trail.append((k, l))
-                elif cur != e:
-                    return False
-            elif e:
-                return False
-        e = adj_v[v]
-        if acell_r[r]:
-            cur = bcell[c][c]
-            if cur < 0:
-                bcell[c][c] = e
-                trail.append((c, c))
-            elif cur != e:
-                return False
-        elif e:
-            return False
-        return True
+    def _toggle(self, v: int, r: int, c: int, new_one: int, new_zero: int) -> None:
+        """Place v at (r, c) with the B cells it forces, or take that back.
 
-    def _undo(self, mark: int) -> None:
-        trail = self.trail
-        bcell = self.bcell
-        while len(trail) > mark:
-            k, l = trail.pop()
-            bcell[k][l] = -1
+        Every bit flipped is clear before placing, so one XOR does both.
+        """
+        bit = 1 << c
+        ones, zeros = self.ones, self.zeros
+        ones[c] ^= new_one & ~bit
+        zeros[c] ^= new_zero & ~bit
+        while new_one:  # B is symmetric: column c of every forced row
+            low = new_one & -new_one
+            ones[low.bit_length() - 1] ^= bit
+            new_one ^= low
+        while new_zero:
+            low = new_zero & -new_zero
+            zeros[low.bit_length() - 1] ^= bit
+            new_zero ^= low
+        nbr_cols, a = self.nbr_cols, self.a
+        for x in self.view.nbrs[v]:
+            nbr_cols[x * a + r] ^= bit
+        self.occupied[r] ^= bit
 
-    def _candidates(self, idx: int, v: int) -> list[tuple[int, int]]:
+    def _search(self, idx: int) -> FactorizationWitness | None:
+        view = self.view
+        if idx == len(view.order):
+            return self._finish()
+        v = view.order[idx]
         if idx == 0 and self.pin_first_row:
             row_range = [0] if 0 in self.allowed_rows[v] else []
         else:
             row_range = self.allowed_rows[v]
-        # untouched columns of B are interchangeable: used ones + first fresh
-        col_range = []
-        for c in range(self.b):
-            col_range.append(c)
-            if self.col_load[c] == 0:
-                break
-        out = []
+        # untouched columns of B are interchangeable: used ones + first fresh;
+        # used columns always form a prefix of range(b)
+        occupied, ones, zeros = self.occupied, self.ones, self.zeros
+        col_range = range(min(max(occupied).bit_length() + 1, self.b))
+        d = view.rowsums[v]
+        loop = view.loops[v]
+        b_rowsums = self.b_rowsums
+        nbr_cols = self.nbr_cols[v * self.a : (v + 1) * self.a]
         for r in row_range:
-            used_r = self.used[r]
+            if any(nbr_cols[s] for s in self.unlinked[r]) or (loop and not self.acell[r][r]):
+                continue
+            # B row c must hold 1 at the column of every placed neighbour in a
+            # row A links to r, and 0 at every other placed column of those rows
+            one = zero = 0
+            for s in self.linked[r]:
+                one |= nbr_cols[s]
+                zero |= occupied[s] & ~nbr_cols[s]
+            ar = self.a_rowsums[r]
             for c in col_range:
-                if not used_r[c]:
-                    out.append((r, c))
-        return out
-
-    def _search(self, idx: int) -> FactorizationWitness | None:
-        if idx == self.n:
-            return self._finish()
-        v = self.order[idx]
-        for r, c in self._candidates(idx, v):
-            mark = len(self.trail)
-            if self._constraints_ok(v, r, c):
-                self.rows[v] = r
-                self.cols[v] = c
-                self.used[r][c] = True
-                self.col_load[c] += 1
-                self.assigned.append(v)
+                if occupied[r] >> c & 1:
+                    continue
+                # exact Kronecker prune: rowsum(v) = rowsum_A(r) * rowsum_B(c)
+                if b_rowsums[c] >= 0 and d != ar * b_rowsums[c]:
+                    continue
+                one_c, zero_c = one, zero
+                if self.acell[r][r]:
+                    if loop:
+                        one_c |= 1 << c
+                    else:
+                        zero_c |= 1 << c
+                if one_c & zero_c or one_c & zeros[c] or zero_c & ones[c]:
+                    continue
+                new_one, new_zero = one_c & ~ones[c], zero_c & ~zeros[c]
+                self._toggle(v, r, c, new_one, new_zero)
+                fixes_rowsum = ar > 0 and b_rowsums[c] < 0
+                if fixes_rowsum:
+                    b_rowsums[c] = d // ar
+                self.rows[v], self.cols[v] = r, c
                 found = self._search(idx + 1)
                 if found is not None:
                     return found
-                self.assigned.pop()
-                self.col_load[c] -= 1
-                self.used[r][c] = False
-                self.rows[v] = -1
-                self.cols[v] = -1
-            self._undo(mark)
+                if fixes_rowsum:
+                    b_rowsums[c] = -1
+                self._toggle(v, r, c, new_one, new_zero)
         return None
 
     def _finish(self) -> FactorizationWitness:
-        a_edges = {
-            (i, j)
-            for i in range(self.a)
-            for j in range(i, self.a)
-            if self.acell[i][j] == 1
-        }
-        b_edges = {
-            (k, l)
-            for k in range(self.b)
-            for l in range(k, self.b)
-            if self.bcell[k][l] == 1
-        }
+        a_edges = {(i, j) for i in range(self.a) for j in range(i, self.a) if self.acell[i][j]}
+        b_edges = {(k, l) for k in range(self.b) for l in bits(self.ones[k]) if k <= l}
         witness = FactorizationWitness(
             Graph(self.a, frozenset(a_edges)),
             Graph(self.b, frozenset(b_edges)),
-            tuple((self.rows[v], self.cols[v]) for v in range(self.n)),
+            tuple(zip(self.rows, self.cols)),
         )
-        assert witness_is_valid(self.g, witness)
+        if not witness_is_valid(self.view.g, witness):
+            raise InternalError("factor search produced a witness that fails re-verification")
         return witness
 
     def run(self) -> FactorizationWitness | None:
@@ -360,11 +353,12 @@ def factor_search(
         candidates = _symmetric_matrices(a)
         prefilter = True
     g_bipartite = is_bipartite(g)
+    view = _GraphView(g)
     for a_cells in candidates:
-        if prefilter and not _left_factor_feasible(a_cells, g, g_bipartite):
+        if prefilter and not _left_factor_feasible(a_cells, view, g_bipartite):
             continue
-        pin = _row_transitive(a_cells, a)
-        found = _FactorSearch(g, a, b, a_cells, pin).run()
+        pin = _row_transitive(a_cells)
+        found = _FactorSearch(view, a, b, a_cells, pin).run()
         if found is not None:
             return found
     return None
@@ -433,7 +427,8 @@ def factorization_from_isomorphism(
     labeling = [(0, v) for v in range(n)]
     labeling.extend((1, inverse[u]) for u in range(n))
     out = FactorizationWitness(D2, g1, tuple(labeling))
-    assert witness_is_valid(disjoint_union(g1, g2), out)
+    if not witness_is_valid(disjoint_union(g1, g2), out):
+        raise InternalError("doubling factorization fails re-verification")
     return out
 
 
@@ -459,12 +454,16 @@ def isomorphism_from_union_factorization(
     if found is None:
         return None
     row_of_g1 = found.labeling[0][0]
-    assert all(r == row_of_g1 for r, _ in found.labeling[:n])
-    assert all(r != row_of_g1 for r, _ in found.labeling[n:])
+    if not (
+        all(r == row_of_g1 for r, _ in found.labeling[:n])
+        and all(r != row_of_g1 for r, _ in found.labeling[n:])
+    ):
+        raise InternalError("doubling factorization does not keep each graph in one row")
     col_to_g2_vertex = {c: u for u, (_, c) in enumerate(found.labeling[n:])}
     mapping = tuple(col_to_g2_vertex[c] for _, c in found.labeling[:n])
     out = IsomorphismWitness(mapping)
-    assert is_isomorphism(g1, g2, out.mapping)
+    if not is_isomorphism(g1, g2, out.mapping):
+        raise InternalError("isomorphism read off a factorization fails re-verification")
     return out
 
 
@@ -477,7 +476,6 @@ _ALL_2X2 = [
     for a10 in (0, 1)
     for a11 in (0, 1)
 ]
-_I2 = ((1, 0), (0, 1))
 _ANTIDIAG = ((0, 1), (1, 0))
 
 
@@ -531,14 +529,13 @@ def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         raise ValueError("elimination requires equal node and edge counts")
     survivors = two_block_survivors(g1, g2)
-    assert _I2 in survivors
+    assert I2_MATRIX in survivors
     if len(survivors) > 1:
         # Reachable only when the loop counts differ.  Every survivor other
         # than I2 carries a loop and a cross edge, hence is connected and
         # nonbipartite, so all components of A (x) B would have even order;
         # this union's components have odd prime order.
         assert g1.node_count % 2 == 1
-        survivors = [_I2]
     return are_isomorphic(g1, g2, node_limit=None) is not None
 
 

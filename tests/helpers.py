@@ -171,3 +171,17 @@ def components_as_graphs(g: Graph) -> list[Graph]:
     from graphprod import connected_components, induced_subgraph
 
     return [induced_subgraph(g, comp) for comp in connected_components(g)]
+
+
+def double_edge_swap(g: Graph, rng: random.Random) -> Graph:
+    """Replace edges {a, b}, {c, d} by {a, d}, {c, b}: degrees are kept.
+
+    Returns ``g`` unchanged if no admissible pair turns up in 100 draws.
+    """
+    edges = sorted((u, v) for u, v in g.edges if u != v)
+    for _ in range(100 if len(edges) >= 2 else 0):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        e1, e2 = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+        if len({a, b, c, d}) == 4 and e1 not in g.edges and e2 not in g.edges:
+            return Graph(g.node_count, (g.edges - {(a, b), (c, d)}) | {e1, e2})
+    return g

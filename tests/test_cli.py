@@ -111,6 +111,18 @@ def test_factor_json_report(capsys):
     assert "elapsed_ms" in report
 
 
+def test_factor_failed_reverification_exit_5(monkeypatch, capsys):
+    from graphprod import factorization
+
+    monkeypatch.setattr(factorization, "witness_is_valid", lambda g, w: False)
+    code, out, err = run(capsys, "factor", "--json", path("twocomp"))
+    assert code == 5
+    assert err.startswith("error: ")
+    report = json.loads(out)
+    assert report["command"] == "factor" and report["exit_code"] == 5
+    assert "re-verification" in report["error"]
+
+
 def test_factor_size_bound_exit_3(tmp_path, capsys):
     big = tmp_path / "big.el"
     lines = ["21 20"] + [f"{i} {i + 1}" for i in range(20)]

@@ -1,6 +1,11 @@
 """Factor search vs full enumeration, doubling factorizations, elimination."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -19,6 +24,7 @@ from graphprod import (
     is_isomorphism,
     is_prime_direct,
     isomorphism_from_union_factorization,
+    pad_to_class_g,
     relabel,
     search_oracle,
     two_block_survivors,
@@ -50,6 +56,7 @@ from graphprod.catalog import (
 from helpers import (
     all_graphs,
     components_as_graphs,
+    double_edge_swap,
     naive_factor_exists,
     random_class_g_graph,
     random_connected_graph,
@@ -135,6 +142,75 @@ def test_argument_and_size_errors():
 def test_search_is_deterministic():
     union = disjoint_union(C5_LOOP, C5_LOOP)
     assert factor_search(union, 2, 5) == factor_search(union, 2, 5)
+
+
+def _golden_searches():
+    """A fixed seeded mix of searches, yielded as zero-argument callables.
+
+    Padded criterion-7 unions (YES and NO pairs), 12/16-node products and
+    one-swap near-composites, random 4-12-node graphs over every divisor
+    pair, planted products with loops, and doubling-factor searches pinned
+    to I2.
+    """
+    rng = random.Random(20200303)
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        g1 = random_connected_graph(n, rng)
+        if rng.random() < 0.5:
+            g2 = random_relabeling(g1, rng)
+        else:
+            for _ in range(50):
+                g2 = random_connected_graph(n, rng)
+                if g2.edge_count == g1.edge_count:
+                    break
+        union = disjoint_union(pad_to_class_g(g1).padded, pad_to_class_g(g2).padded)
+        yield lambda u=union: find_factorization(u, node_limit=None)
+    for a, b in [(2, 6), (3, 4), (2, 8)] * 8:
+        fa = random_connected_graph(a, rng, loop_p=0.5)
+        fb = random_connected_graph(b, rng)
+        g = random_relabeling(direct_product(fa, fb), rng)
+        yield lambda g=g: find_factorization(g)
+        yield lambda g=double_edge_swap(g, rng): find_factorization(g)
+    for _ in range(120):
+        n = rng.choice([4, 6, 8, 9, 10, 12])
+        g = random_graph(n, rng, edge_p=rng.uniform(0.15, 0.6), loop_p=0.3)
+        for a in range(2, int(n**0.5) + 1):
+            if n % a == 0:
+                yield lambda g=g, a=a: factor_search(g, a, g.node_count // a)
+    for _ in range(120):
+        fa = random_graph(rng.choice([2, 3]), rng, edge_p=0.6, loop_p=0.5)
+        fb = random_graph(rng.randint(2, 4), rng, edge_p=0.5, loop_p=0.3)
+        g = random_relabeling(direct_product(fa, fb), rng)
+        yield lambda g=g: find_factorization(g)
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        g1 = random_connected_graph(n, rng)
+        g2 = random_relabeling(g1, rng) if rng.random() < 0.5 else random_connected_graph(n, rng)
+        union = disjoint_union(g1, g2)
+        yield lambda u=union, n=n: factor_search(u, 2, n, fixed_a=I2_MATRIX)
+
+
+# sha256 of the witnesses of _golden_searches, as computed by the original
+# list-matrix engine; any change to search order or pruning that alters a
+# returned witness changes it
+GOLDEN_DIGEST = "790fa9758bbee6b6d8c2e36a597f0eaac34fee0b2c6724c4280b83675b041589"
+GOLDEN_COUNTS = (540, 856)  # (searches returning a witness, searches)
+
+
+def test_golden_witnesses_are_unchanged():
+    h = hashlib.sha256()
+    found = total = 0
+    for search in _golden_searches():
+        w = search()
+        total += 1
+        if w is None:
+            h.update(b"None\n")
+            continue
+        found += 1
+        key = (sorted(w.factor_a.edges), sorted(w.factor_b.edges), w.labeling)
+        h.update(repr(key).encode() + b"\n")
+    assert (found, total) == GOLDEN_COUNTS
+    assert h.hexdigest() == GOLDEN_DIGEST
 
 
 def test_completeness_exhaustive_order_4():
@@ -369,6 +445,48 @@ def test_fig3_product_has_two_node_factor_but_no_doubling_factor():
     assert w is not None
     assert are_isomorphic(w.factor_a, FIG3_G1) is not None
     assert factor_search(g3, 2, 6, fixed_a=I2_MATRIX) is None
+
+
+# -- witness re-verification survives python -O ---------------------------------
+
+
+_REVERIFY_UNDER_O = textwrap.dedent(
+    """
+    import graphprod.factorization as fz
+    from graphprod import InternalError, disjoint_union
+    from graphprod.catalog import C3, C5_LOOP
+    from graphprod.isomorphism import IsomorphismWitness
+
+    assert not __debug__, "run me under python -O"
+    fz.witness_is_valid = lambda g, w: False
+    calls = [
+        lambda: fz.factor_search(disjoint_union(C5_LOOP, C5_LOOP), 2, 5),
+        lambda: fz.factorization_from_isomorphism(C3, C3, IsomorphismWitness((0, 1, 2))),
+    ]
+    for call in calls:
+        try:
+            call()
+        except InternalError:
+            print("InternalError")
+        else:
+            print("returned")
+    """
+)
+
+
+def test_witness_reverification_raises_under_python_O():
+    import graphprod
+
+    src = os.path.dirname(os.path.dirname(graphprod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REVERIFY_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InternalError", "InternalError"]
 
 
 def test_identity_factor_never_claimed():
