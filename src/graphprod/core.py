@@ -163,6 +163,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """Neighbours of each node, the node itself excluded, in edge-set order."""
+    nbrs: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
 def _levels(masks: Sequence[int], start: int) -> Iterator[int]:
     """Breadth-first search from ``start``: each distance level as a bitmask."""
     seen = frontier = 1 << start
@@ -218,9 +228,13 @@ def bipartition(g: Graph) -> list[int] | None:
     """
     if g.loop_count > 0:
         return None
-    masks = g.adjacency_masks
-    color = [0] * g.node_count
-    left = (1 << g.node_count) - 1
+    return two_coloring(g.adjacency_masks)
+
+
+def two_coloring(masks: Sequence[int]) -> list[int] | None:
+    """:func:`bipartition` of the graph with adjacency rows ``masks``; loops fail it."""
+    color = [0] * len(masks)
+    left = (1 << len(masks)) - 1
     while left:
         for depth, level in enumerate(_levels(masks, (left & -left).bit_length() - 1)):
             left &= ~level

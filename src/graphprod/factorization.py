@@ -56,11 +56,13 @@ from .core import (
     induced_subgraph,
     is_bipartite,
     is_connected,
+    neighbor_lists,
     relabel,
+    two_coloring,
 )
 from .isomorphism import IsomorphismWitness, are_isomorphic, is_isomorphism
 from .products import direct_product
-from .reduction import class_g_check
+from .reduction import require_class_g
 
 DEFAULT_NODE_LIMIT = 20
 
@@ -127,6 +129,12 @@ def _row_transitive(cells: Matrix) -> bool:
     return len(reachable) == a
 
 
+@lru_cache(maxsize=4096)  # 1096 candidate left factors for a <= 4
+def _bipartite(cells: Matrix) -> bool:
+    """Whether the graph with adjacency matrix ``cells`` is bipartite."""
+    return two_coloring([sum(x << j for j, x in enumerate(row)) for row in cells]) is not None
+
+
 @lru_cache(maxsize=4)  # a <= 4 under the default node bound
 def _symmetric_matrices(a: int) -> tuple[Matrix, ...]:
     """All symmetric 0/1 a-by-a matrices, in ascending bitmask order."""
@@ -149,11 +157,7 @@ class _GraphView:
         masks = g.adjacency_masks
         self.rowsums = [mask.bit_count() for mask in masks]
         self.loops = [mask >> v & 1 for v, mask in enumerate(masks)]
-        self.nbrs = nbrs = [[] for _ in masks]
-        for u, v in g.edges:
-            if u != v:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
+        self.nbrs = neighbor_lists(g)
         self.isolated = self.rowsums.count(0)
         # components in order of their smallest vertex, BFS inside each
         self.order = order = []
@@ -185,14 +189,8 @@ def _left_factor_feasible(a_cells: Matrix, view: _GraphView, g_bipartite: bool) 
         return False
     if sum(1 for row in a_cells if not any(row)) * b > view.isolated:
         return False
-    if not g_bipartite:
-        a_graph = Graph(
-            a, frozenset((i, j) for i in range(a) for j in range(i, a) if a_cells[i][j])
-        )
-        if is_bipartite(a_graph) and nz_g > 0:
-            # a bipartite left factor only produces bipartite products
-            return False
-    return True
+    # a bipartite left factor only produces bipartite products
+    return g_bipartite or nz_g == 0 or not _bipartite(a_cells)
 
 
 class _FactorSearch:
@@ -253,10 +251,13 @@ class _FactorSearch:
             nbr_cols[x * a + r] ^= bit
         self.occupied[r] ^= bit
 
-    def _search(self, idx: int) -> FactorizationWitness | None:
+    def _placements(self, idx: int):
+        """Place vertex ``order[idx]`` in each admissible way in turn.
+
+        Yields once per placement, while it stands; the placement is taken
+        back before the next one is tried.
+        """
         view = self.view
-        if idx == len(view.order):
-            return self._finish()
         v = view.order[idx]
         if idx == 0 and self.pin_first_row:
             row_range = [0] if 0 in self.allowed_rows[v] else []
@@ -300,13 +301,10 @@ class _FactorSearch:
                 if fixes_rowsum:
                     b_rowsums[c] = d // ar
                 self.rows[v], self.cols[v] = r, c
-                found = self._search(idx + 1)
-                if found is not None:
-                    return found
+                yield True
                 if fixes_rowsum:
                     b_rowsums[c] = -1
                 self._toggle(v, r, c, new_one, new_zero)
-        return None
 
     def _finish(self) -> FactorizationWitness:
         a_edges = {(i, j) for i in range(self.a) for j in range(i, self.a) if self.acell[i][j]}
@@ -321,7 +319,22 @@ class _FactorSearch:
         return witness
 
     def run(self) -> FactorizationWitness | None:
-        return self._search(0)
+        """Depth-first search over an explicit stack of placement generators."""
+        n = len(self.view.order)
+        stack = [self._placements(0)]
+        while stack:
+            if not next(stack[-1], False):  # every placement tried: backtrack
+                stack.pop()
+            elif len(stack) == n:
+                return self._finish()
+            else:
+                stack.append(self._placements(len(stack)))
+        return None
+
+
+def _check_node_limit(g: Graph, node_limit: int | None) -> None:
+    if node_limit is not None and g.node_count > node_limit:
+        raise SizeLimitError(f"graph order {g.node_count} exceeds the {node_limit}-node bound")
 
 
 def factor_search(
@@ -338,10 +351,7 @@ def factor_search(
     search to factorizations through that exact left factor.  Returned
     witnesses are re-verified by product recomputation before return.
     """
-    if node_limit is not None and g.node_count > node_limit:
-        raise SizeLimitError(
-            f"graph order {g.node_count} exceeds the {node_limit}-node bound"
-        )
+    _check_node_limit(g, node_limit)
     if a < 2 or b < 2 or a > b:
         raise ValueError("factor orders must satisfy 2 <= a <= b")
     if a * b != g.node_count:
@@ -372,10 +382,7 @@ def find_factorization(
     g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT
 ) -> FactorizationWitness | None:
     """First factorization over divisor pairs in increasing left order, or None."""
-    if node_limit is not None and g.node_count > node_limit:
-        raise SizeLimitError(
-            f"graph order {g.node_count} exceeds the {node_limit}-node bound"
-        )
+    _check_node_limit(g, node_limit)
     for a, b in _divisor_pairs(g.node_count):
         witness = factor_search(g, a, b, node_limit=node_limit)
         if witness is not None:
@@ -391,10 +398,7 @@ def is_prime_direct(g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT) ->
     """
     if g.node_count < 1:
         raise ValueError("primality is undefined for the empty graph")
-    if node_limit is not None and g.node_count > node_limit:
-        raise SizeLimitError(
-            f"graph order {g.node_count} exceeds the {node_limit}-node bound"
-        )
+    _check_node_limit(g, node_limit)
     if g.node_count == 1:
         return False
     return find_factorization(g, node_limit=node_limit) is None
@@ -469,13 +473,6 @@ def isomorphism_from_union_factorization(
 
 # -- the two-block elimination decider ---------------------------------------
 
-_ALL_2X2 = [
-    ((a00, a01), (a10, a11))
-    for a00 in (0, 1)
-    for a01 in (0, 1)
-    for a10 in (0, 1)
-    for a11 in (0, 1)
-]
 _ANTIDIAG = ((0, 1), (1, 0))
 
 
@@ -491,9 +488,7 @@ def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tup
     """
     total = g1.nonzero_count + g2.nonzero_count
     survivors = []
-    for mat in _ALL_2X2:
-        if mat[0][1] != mat[1][0]:
-            continue
+    for mat in sorted(_symmetric_matrices(2)):
         nonzeros = mat[0][0] + mat[0][1] + mat[1][0] + mat[1][1]
         if nonzeros < 2:
             continue
@@ -507,10 +502,6 @@ def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tup
     return survivors
 
 
-def _first_violation(report) -> str:
-    return report.violations()[0]
-
-
 def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
     """Decide compositeness of g1 u g2 for equal-count class G members.
 
@@ -519,13 +510,8 @@ def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
     :func:`two_block_survivors` leave the identity matrix alone, reducing
     compositeness of the union to existence of an isomorphism g1 -> g2.
     """
-    for g, which in ((g1, "first"), (g2, "second")):
-        report = class_g_check(g)
-        if not report.member:
-            raise PreconditionError(
-                f"{which} graph is outside class G: {_first_violation(report)}",
-                report=report,
-            )
+    require_class_g(g1, "first graph")
+    require_class_g(g2, "second graph")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         raise ValueError("elimination requires equal node and edge counts")
     survivors = two_block_survivors(g1, g2)
@@ -564,12 +550,7 @@ def elimination_oracle(g: Graph) -> bool:
         # The union splits only as 2 x p (p prime), I2 would force isomorphic
         # components (equal edge counts), and every other admissible left
         # factor forces even-order components; so the union is prime.
-        for c, which in ((c1, "first"), (c2, "second")):
-            report = class_g_check(c)
-            if not report.member:
-                raise PreconditionError(
-                    f"{which} component is outside class G: {_first_violation(report)}",
-                    report=report,
-                )
+        require_class_g(c1, "first component")
+        require_class_g(c2, "second component")
         return False
     return union_compositeness_by_elimination(c1, c2)

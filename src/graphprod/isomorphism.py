@@ -4,7 +4,19 @@ This is a desk-scale decision procedure, not a canonical-labelling engine.
 Nodes are first partitioned by iterated neighborhood refinement (degree and
 loop status seeded, then neighbor-color multisets to a fixed point); the
 backtracker then maps nodes of the first graph onto same-color candidates of
-the second, checking adjacency against all previously mapped nodes.
+the second.
+
+The backtracker works on :attr:`Graph.adjacency_masks`, the rows of the
+adjacency matrix as int bitmasks.  It keeps ``image``, the mask of nodes of
+the second graph already used, and for every node v of the first graph
+``need[v]``, the mask of the images of v's mapped neighbours.  A candidate w
+fits v iff w is not in ``image`` and ``masks2[w] & image == need[v]``: the
+edges from w to the mapped nodes are exactly the images of the edges from v,
+checked in O(1) big-int operations (the bit-parallel candidate filtering of
+VF2, Cordella et al., IEEE TPAMI 2004).  Placing v at w XORs bit w into
+``need[u]`` for each neighbour u of v, and the undo is the same XOR.  The
+search runs on an explicit per-depth candidate cursor, so its depth is not
+bounded by Python's recursion limit.
 
 Candidates are tried in ascending node order inside each refinement cell and
 the node processing order is itself deterministic, so a successful search
@@ -17,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Graph, SizeLimitError, relabel
+from .core import Graph, InternalError, SizeLimitError, neighbor_lists, relabel
 
 DEFAULT_NODE_LIMIT = 16
 
@@ -38,49 +50,33 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     return relabel(g1, list(mapping)).edges == g2.edges
 
 
-def _initial_colors(g: Graph) -> list[tuple]:
-    deg = [0] * g.node_count
-    loop = [0] * g.node_count
-    for u, v in g.edges:
-        if u == v:
-            loop[u] = 1
-        else:
-            deg[u] += 1
-            deg[v] += 1
-    return [(deg[v], loop[v]) for v in range(g.node_count)]
+def _recolor(sig1: list, sig2: list) -> tuple[list[int], list[int]]:
+    """Number the signatures of both graphs jointly, in sorted order."""
+    palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
+    return [palette[s] for s in sig1], [palette[s] for s in sig2]
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.node_count)]
-    for u, v in g.edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
-
-
-def _refine(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
+def _refine(
+    g1: Graph, g2: Graph, adj1: list[list[int]], adj2: list[list[int]]
+) -> tuple[list[int], list[int]] | None:
     """Joint color refinement; None if the color histograms ever diverge."""
     n = g1.node_count
-    adj1, adj2 = _neighbor_lists(g1), _neighbor_lists(g2)
-    sig1: list = _initial_colors(g1)
-    sig2: list = _initial_colors(g2)
-    colors1 = colors2 = None
-    for _ in range(n + 1):
-        palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
-        new1 = [palette[s] for s in sig1]
-        new2 = [palette[s] for s in sig2]
-        if Counter(new1) != Counter(new2):
-            return None
-        if new1 == colors1 and new2 == colors2:
-            break
-        colors1, colors2 = new1, new2
+    colors1, colors2 = _recolor(
+        [(len(adj1[v]), (v, v) in g1.edges) for v in range(n)],
+        [(len(adj2[v]), (v, v) in g2.edges) for v in range(n)],
+    )
+    # each round either splits a color class or reaches the fixed point
+    while Counter(colors1) == Counter(colors2):
         if len(set(colors1)) == n:
-            break
-        sig1 = [(colors1[v], tuple(sorted(colors1[w] for w in adj1[v]))) for v in range(n)]
-        sig2 = [(colors2[v], tuple(sorted(colors2[w] for w in adj2[v]))) for v in range(n)]
-    assert colors1 is not None and colors2 is not None
-    return colors1, colors2
+            return colors1, colors2
+        new1, new2 = _recolor(
+            [(colors1[v], tuple(sorted(colors1[w] for w in adj1[v]))) for v in range(n)],
+            [(colors2[v], tuple(sorted(colors2[w] for w in adj2[v]))) for v in range(n)],
+        )
+        if new1 == colors1 and new2 == colors2:
+            return colors1, colors2
+        colors1, colors2 = new1, new2
+    return None
 
 
 def _processing_order(adj: list[list[int]], candidates: list[list[int]]) -> list[int]:
@@ -119,7 +115,8 @@ def are_isomorphic(
     if g1.edge_count != g2.edge_count or g1.loop_count != g2.loop_count:
         return None
 
-    refined = _refine(g1, g2)
+    adj1 = neighbor_lists(g1)
+    refined = _refine(g1, g2, adj1, neighbor_lists(g2))
     if refined is None:
         return None
     colors1, colors2 = refined
@@ -130,47 +127,43 @@ def are_isomorphic(
     candidates = [cells.get(colors1[v], []) for v in range(n)]
     if any(not c for c in candidates):
         return None
-
-    adj1 = _neighbor_lists(g1)
     order = _processing_order(adj1, candidates)
 
-    m1 = [[False] * n for _ in range(n)]
-    m2 = [[False] * n for _ in range(n)]
-    for u, v in g1.edges:
-        m1[u][v] = m1[v][u] = True
-    for u, v in g2.edges:
-        m2[u][v] = m2[v][u] = True
-
+    masks2 = g2.adjacency_masks
     mapping = [-1] * n
-    used = [False] * n
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
+    need = [0] * n
+    image = 0
+    cursor = [0] * n  # next candidate index to try at each depth
+    idx = 0
+    while 0 <= idx < n:
         v = order[idx]
-        row1 = m1[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            row2 = m2[w]
-            ok = True
-            for j in range(idx):
-                u = order[j]
-                if row1[u] != row2[mapping[u]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(idx + 1):
-                return True
+        if mapping[v] >= 0:  # back at v: take its placement back
+            bit = 1 << mapping[v]
+            image ^= bit
+            for u in adj1[v]:
+                need[u] ^= bit
             mapping[v] = -1
-            used[w] = False
-        return False
-
-    if not extend(0):
+        cands = candidates[v]
+        k = cursor[idx]
+        while k < len(cands):
+            w = cands[k]
+            k += 1
+            bit = 1 << w
+            if not image & bit and masks2[w] & image == need[v]:
+                break
+        else:  # no candidate left for v: backtrack
+            cursor[idx] = 0
+            idx -= 1
+            continue
+        cursor[idx] = k
+        mapping[v] = w
+        image |= bit
+        for u in adj1[v]:
+            need[u] ^= bit
+        idx += 1
+    if idx < 0:
         return None
     witness = IsomorphismWitness(tuple(mapping))
-    assert is_isomorphism(g1, g2, witness.mapping)
+    if not is_isomorphism(g1, g2, witness.mapping):
+        raise InternalError("isomorphism search produced a witness that fails re-verification")
     return witness

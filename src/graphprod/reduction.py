@@ -97,6 +97,15 @@ def class_g_check(g: Graph) -> ClassGReport:
     return ClassGReport(p1 and p2 and p3 and p4 and p5, p1, p2, p3, p4, p5)
 
 
+def require_class_g(g: Graph, which: str) -> None:
+    """Raise :class:`PreconditionError`, carrying the report, unless g is in class G."""
+    report = class_g_check(g)
+    if not report.member:
+        raise PreconditionError(
+            f"{which} is outside class G: {'; '.join(report.violations())}", report=report
+        )
+
+
 # offset d fixing both residues, keyed by (t mod 2, t mod 3)
 _OFFSET_TABLE = {
     (0, 0): 1,
@@ -219,13 +228,8 @@ def class_g_isomorphism(g1: Graph, g2: Graph, oracle: CompositenessOracle) -> bo
     otherwise the verdict is exactly the oracle's answer on the disjoint
     union.  Inputs outside class G are rejected with their membership report.
     """
-    for g, which in ((g1, "first"), (g2, "second")):
-        report = class_g_check(g)
-        if not report.member:
-            raise PreconditionError(
-                f"{which} graph is outside class G: {'; '.join(report.violations())}",
-                report=report,
-            )
+    require_class_g(g1, "first graph")
+    require_class_g(g2, "second graph")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return False
     return oracle(disjoint_union(g1, g2))

@@ -185,3 +185,31 @@ def double_edge_swap(g: Graph, rng: random.Random) -> Graph:
         if len({a, b, c, d}) == 4 and e1 not in g.edges and e2 not in g.edges:
             return Graph(g.node_count, (g.edges - {(a, b), (c, d)}) | {e1, e2})
     return g
+
+
+def random_cubic_graph(n: int, rng: random.Random) -> Graph:
+    """Uniform random simple 3-regular graph (configuration model, rejection)."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = set()
+        for i in range(0, len(points), 2):
+            u, v = points[i], points[i + 1]
+            edge = (min(u, v), max(u, v))
+            if u == v or edge in edges:
+                break
+            edges.add(edge)
+        else:
+            return Graph(n, frozenset(edges))
+
+
+def random_sparse_connected_graph(n: int, rng: random.Random) -> Graph:
+    """Random spanning tree plus n/4 extra edges and three loops."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(n // 4):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    for _ in range(3):
+        u = rng.randrange(n)
+        edges.add((u, u))
+    return Graph(n, frozenset(edges))

@@ -206,6 +206,29 @@ def test_iso_direct_env_bound_exit_3(monkeypatch, capsys):
     assert code == 3
 
 
+def test_iso_direct_on_a_1200_leaf_star(tmp_path, capsys):
+    from graphprod import relabel, write_edge_list
+    from graphprod.catalog import star_graph
+
+    star = star_graph(1200)
+    write_edge_list(star, tmp_path / "star.el")
+    write_edge_list(relabel(star, list(range(1, 1201)) + [0]), tmp_path / "moved.el")
+    code, out, _ = run(
+        capsys, "iso", "--mode", "direct", str(tmp_path / "star.el"), str(tmp_path / "moved.el")
+    )
+    assert code == 0 and out.strip().splitlines()[-1] == "YES"
+
+
+def test_iso_reduction_on_300_node_paths(tmp_path, capsys):
+    from graphprod import write_edge_list
+    from graphprod.catalog import path_graph
+
+    write_edge_list(path_graph(300), tmp_path / "p300.el")
+    target = str(tmp_path / "p300.el")
+    code, out, _ = run(capsys, "iso", "--mode", "reduction", target, target)
+    assert code == 0 and out.strip().splitlines()[-1] == "YES"
+
+
 def test_iso_json_outcome(capsys):
     code, out, _ = run(capsys, "iso", "--mode", "reduction", "--json", path("c3"), path("c3b"))
     assert code == 0

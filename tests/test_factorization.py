@@ -453,15 +453,18 @@ def test_fig3_product_has_two_node_factor_but_no_doubling_factor():
 _REVERIFY_UNDER_O = textwrap.dedent(
     """
     import graphprod.factorization as fz
+    import graphprod.isomorphism as iso
     from graphprod import InternalError, disjoint_union
     from graphprod.catalog import C3, C5_LOOP
     from graphprod.isomorphism import IsomorphismWitness
 
     assert not __debug__, "run me under python -O"
     fz.witness_is_valid = lambda g, w: False
+    iso.is_isomorphism = lambda g1, g2, mapping: False
     calls = [
         lambda: fz.factor_search(disjoint_union(C5_LOOP, C5_LOOP), 2, 5),
         lambda: fz.factorization_from_isomorphism(C3, C3, IsomorphismWitness((0, 1, 2))),
+        lambda: iso.are_isomorphic(C3, C3),
     ]
     for call in calls:
         try:
@@ -486,7 +489,7 @@ def test_witness_reverification_raises_under_python_O():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InternalError", "InternalError"]
+    assert proc.stdout.split() == ["InternalError"] * 3
 
 
 def test_identity_factor_never_claimed():

@@ -1,13 +1,22 @@
 """Backtracking isomorphism oracle against unpruned permutation search."""
 
+import hashlib
 import random
 
 import pytest
 
 from graphprod import Graph, SizeLimitError, are_isomorphic, is_isomorphism, relabel
-from graphprod.catalog import C3, C5, K1_4, P3_END_LOOP, P3_MID_LOOP
+from graphprod.catalog import C3, C5, K1_4, NAMED, P3_END_LOOP, P3_MID_LOOP, star_graph
 
-from helpers import all_graphs, naive_isomorphic, random_graph, random_relabeling
+from helpers import (
+    all_graphs,
+    double_edge_swap,
+    naive_isomorphic,
+    random_cubic_graph,
+    random_graph,
+    random_relabeling,
+    random_sparse_connected_graph,
+)
 
 
 def test_relabeled_triangle_has_witness():
@@ -76,6 +85,90 @@ def test_witness_is_deterministic():
     first = are_isomorphic(g1, g2)
     second = are_isomorphic(g1, g2)
     assert first == second
+
+
+def _golden_pairs():
+    """A fixed seeded mix of isomorphism queries.
+
+    Random relabellings of 2-12-node graphs (YES), degree-preserving edge
+    swaps of 6-12-node graphs (mostly NO), 20-node cubic YES and NO pairs
+    (refinement splits nothing, so the backtracker decides), and every
+    ordered pair of nonempty corpus graphs.
+    """
+    rng = random.Random(20040917)
+    for _ in range(300):
+        g = random_graph(rng.randint(2, 12), rng, edge_p=rng.uniform(0.1, 0.7))
+        yield g, random_relabeling(g, rng)
+    for _ in range(40):
+        g = random_graph(rng.randint(6, 12), rng, edge_p=rng.uniform(0.2, 0.6))
+        yield g, random_relabeling(double_edge_swap(g, rng), rng)
+    for _ in range(12):
+        g = random_cubic_graph(20, rng)
+        yield g, random_relabeling(g, rng)
+        yield g, random_cubic_graph(20, rng)
+    graphs = [g for _, g in sorted(NAMED.items()) if g.node_count > 0]
+    for g1 in graphs:
+        for g2 in graphs:
+            yield g1, g2
+
+
+# sha256 of the mappings of _golden_pairs, as computed by the original
+# recursive list-matrix backtracker; any change to the processing order or
+# the candidate order that alters a returned witness changes it
+GOLDEN_DIGEST = "7b83868ef49100b43c69daeecd790ace841edf20ec544ce1efa523f74511bc4d"
+GOLDEN_COUNTS = (348, 805)  # (YES answers, queries)
+
+
+def test_golden_witnesses_are_unchanged():
+    h = hashlib.sha256()
+    found = total = 0
+    for g1, g2 in _golden_pairs():
+        w = are_isomorphic(g1, g2, node_limit=None)
+        total += 1
+        if w is not None:
+            found += 1
+            assert is_isomorphism(g1, g2, w.mapping)
+        h.update(repr(None if w is None else w.mapping).encode() + b"\n")
+    assert (found, total) == GOLDEN_COUNTS
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def _networkx_graph(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.node_count))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def test_agreement_with_networkx_vf2_beyond_naive_reach():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2004)
+    pairs = []
+    for _ in range(10):
+        g = random_cubic_graph(20, rng)
+        pairs.append((g, random_relabeling(g, rng)))
+        pairs.append((g, random_relabeling(random_cubic_graph(20, rng), rng)))
+    for _ in range(10):
+        g = random_sparse_connected_graph(40, rng)
+        pairs.append((g, random_relabeling(g, rng)))
+        pairs.append((g, random_relabeling(double_edge_swap(g, rng), rng)))
+    answers = set()
+    for g1, g2 in pairs:
+        got = are_isomorphic(g1, g2, node_limit=None)
+        want = nx.is_isomorphic(_networkx_graph(nx, g1), _networkx_graph(nx, g2))
+        assert (got is not None) == want
+        if got is not None:
+            assert is_isomorphism(g1, g2, got.mapping)
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_deep_search_does_not_recurse():
+    # 1201 nodes: one search level per node, past Python's recursion limit
+    star = star_graph(1200)
+    moved = relabel(star, list(range(1, 1201)) + [0])
+    w = are_isomorphic(star, moved, node_limit=None)
+    assert w is not None and is_isomorphism(star, moved, w.mapping)
 
 
 def test_mismatched_counts_fail_fast():

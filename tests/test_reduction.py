@@ -22,7 +22,7 @@ from graphprod import (
     search_oracle,
     elimination_oracle,
 )
-from graphprod.catalog import C3, C4, C5, C5_LOOP, K2, L1, NAMED, add_loops
+from graphprod.catalog import C3, C4, C5, C5_LOOP, K2, L1, NAMED, add_loops, path_graph
 from graphprod.reduction import is_prime_int
 
 from helpers import (
@@ -246,6 +246,15 @@ def test_class_g_driver_verdicts():
     assert class_g_isomorphism(C5_LOOP, g2, elimination_oracle) is False
 
 
+def test_class_g_rejection_lists_every_violation():
+    with pytest.raises(PreconditionError) as info:
+        class_g_isomorphism(C5_LOOP, C4, search_oracle)
+    report = info.value.report
+    assert not report.member
+    assert str(info.value) == "second graph is outside class G: " + "; ".join(report.violations())
+    assert len(report.violations()) > 1
+
+
 def test_general_driver_rejects_disconnected_and_tiny():
     with pytest.raises(PreconditionError):
         graph_isomorphism_via_compositeness(disjoint_union(K2, K2), C4, search_oracle)
@@ -295,3 +304,9 @@ def test_general_driver_elimination_oracle_agrees():
         via_search = graph_isomorphism_via_compositeness(g1, g2, search_oracle)
         via_elim = graph_isomorphism_via_compositeness(g1, g2, elimination_oracle)
         assert via_search == via_elim
+
+
+def test_general_driver_on_long_paths_does_not_recurse():
+    # the padded union has 1202 nodes; the factor search places one per level
+    p300 = path_graph(300)
+    assert graph_isomorphism_via_compositeness(p300, p300, search_oracle) is True
