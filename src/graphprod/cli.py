@@ -19,7 +19,6 @@ import time
 from . import catalog, factorization, isomorphism, products, reduction
 from .core import (
     EdgeListParseError,
-    Graph,
     InternalError,
     PreconditionError,
     SizeLimitError,
@@ -184,24 +183,16 @@ def _cmd_iso(args, started: float) -> int:
         _emit(args, inputs, outcome, [outcome["verdict"]], started)
         return EXIT_OK
 
-    oracle = _ORACLES[args.oracle]
+    pads = reduction.pad_pair(g1, g2)
     human: list[str] = []
-    outcome = {"oracle": args.oracle}
-    calls = 0
-
-    def counting_oracle(g: Graph) -> bool:
-        nonlocal calls
-        calls += 1
-        return oracle(g)
-
-    verdict = reduction.graph_isomorphism_via_compositeness(g1, g2, counting_oracle)
-    outcome["oracle_calls"] = calls
-    if calls == 0:
+    outcome = {"oracle": args.oracle, "oracle_calls": 0 if pads is None else 1}
+    if pads is None:
+        verdict = False
         human.append("count filter: node or edge counts differ; no oracle call")
         outcome["count_filter"] = "reject"
     else:
-        pr1 = reduction.pad_to_class_g(g1)
-        pr2 = reduction.pad_to_class_g(g2)
+        pr1, pr2 = pads
+        verdict = _ORACLES[args.oracle](disjoint_union(pr1.padded, pr2.padded))
         human.append(
             f"padding: p={pr1.chosen_prime}, loops=({pr1.loops_added}, {pr2.loops_added})"
         )

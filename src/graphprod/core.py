@@ -70,25 +70,30 @@ class Graph:
     """Immutable undirected graph on nodes ``0..node_count-1``.
 
     ``edges`` may be given with endpoints in either order; they are
-    normalized to ``(min, max)`` tuples on construction.  Derived views
-    (``loop_count``, ``adjacency_masks``) are computed on first use and
-    cached on the instance.
+    normalized to ``(min, max)`` tuples on construction, which also counts
+    ``loop_count``, s, the number of self-loops.  ``adjacency_masks`` is
+    computed on first use and cached on the instance.
     """
 
     node_count: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
     labels: tuple[str, ...] | None = None
+    loop_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
         if n < 0:
             raise ValueError("node_count must be nonnegative")
         normalized = set()
+        loops = 0
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+            if u == v and (u, u) not in normalized:  # any duplicate is counted once
+                loops += 1
             normalized.add((u, v) if u <= v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "loop_count", loops)
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != n:
@@ -99,11 +104,6 @@ class Graph:
     def edge_count(self) -> int:
         """m, counting each self-loop as one edge."""
         return len(self.edges)
-
-    @cached_property
-    def loop_count(self) -> int:
-        """s, the number of self-loops."""
-        return sum(1 for u, v in self.edges if u == v)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:

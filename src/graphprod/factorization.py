@@ -2,12 +2,32 @@
 
 The factor search answers: can graph g be relabelled so that its adjacency
 matrix becomes A (x) B for some graphs A (order a) and B (order b)?  The
-left order a never exceeds the square root of the node count, so all
-symmetric 0/1 candidates for A are enumerated outright (8 of them for
-a = 2) and cheap counting filters discard most before any search runs:
-nnz(A) must divide nnz(g), loop counts must factor likewise, a zero row of
-A forces isolated vertices g may not have, and a bipartite A cannot produce
-a nonbipartite g.
+left order a never exceeds the square root of the node count, so the
+symmetric 0/1 candidates for A are enumerated outright, in ascending bitmask
+order (8, 64 and 1024 of them for a = 2, 3, 4), and cheap counting filters
+discard most before any search runs: nnz(A) must divide nnz(g), loop counts
+must factor likewise, a zero row of A forces isolated vertices g may not
+have, and a bipartite A cannot produce a nonbipartite g.
+
+Two symmetry rules, from one pass over the a! row permutations of each
+surviving A, cut the search further:
+
+* only the candidate with the smallest bitmask of its isomorphism class is
+  searched, which leaves 6, 20 and 90 candidates for a = 2, 3, 4;
+* the first vertex placed tries only the smallest row of each orbit of
+  Aut(A) on rows (only row 0 when Aut(A) is transitive on rows).
+
+Neither rule changes the witness returned.  If P permutes rows, then
+(P A P^T) (x) B is a relabelling of A (x) B, so an isomorphic copy of A
+factors g exactly when A does, and the counting filters, which depend on A
+only up to isomorphism, treat both alike.  The class representative comes
+first in ascending order: if it succeeds the search stops before the copy,
+and if it fails the copy fails too.  Likewise, an automorphism of A carrying
+row r to row r' carries a complete labelling with the first vertex in row r'
+to one with it in row r, at the same column and with the same B, so a later
+row of an orbit succeeds only if the orbit's smallest row, tried earlier,
+does.  ``fixed_a`` pins one exact matrix: the first rule does not apply
+there, the second does.
 
 Everything the search needs from g itself (adjacency rows as bitmasks,
 neighbour lists, loop flags, row sums, the vertex order, the isolated-vertex
@@ -119,17 +139,29 @@ def _check_fixed_a(fixed_a, a: int) -> Matrix:
 
 
 @lru_cache(maxsize=4096)  # fixed_a matrices come from callers: keep it bounded
-def _row_transitive(cells: Matrix) -> bool:
-    """Whether every row can be carried to row 0 by a symmetry of the matrix."""
+def _symmetry(cells: Matrix) -> tuple[bool, tuple[int, ...]]:
+    """Both symmetry rules of the search, from one pass over row permutations.
+
+    Returns whether ``cells`` has the smallest bitmask of its isomorphism
+    class, in the order of :func:`_symmetric_matrices`, and the smallest row
+    of each orbit of its automorphism group on rows, ascending.
+    """
     a = len(cells)
-    reachable = {0}
+    upper = [(i, j) for i in range(a) for j in range(i, a)]
+    mask = sum(cells[i][j] << bit for bit, (i, j) in enumerate(upper))
+    smallest = True
+    lowest = list(range(a))  # smallest row of each row's orbit
     for perm in permutations(range(a)):
-        if all(cells[perm[i]][perm[j]] == cells[i][j] for i in range(a) for j in range(a)):
-            reachable.update(i for i in range(a) if perm[i] == 0)
-    return len(reachable) == a
+        image = sum(cells[perm[i]][perm[j]] << bit for bit, (i, j) in enumerate(upper))
+        if image < mask:
+            smallest = False
+        elif image == mask:  # an automorphism: rows i and perm[i] share an orbit
+            for i in range(a):
+                lowest[perm[i]] = min(lowest[perm[i]], i)
+    return smallest, tuple(sorted(set(lowest)))
 
 
-@lru_cache(maxsize=4096)  # 1096 candidate left factors for a <= 4
+@lru_cache(maxsize=4096)  # all 8 + 64 + 1024 candidates for a <= 4 fit
 def _bipartite(cells: Matrix) -> bool:
     """Whether the graph with adjacency matrix ``cells`` is bipartite."""
     return two_coloring([sum(x << j for j, x in enumerate(row)) for row in cells]) is not None
@@ -202,12 +234,14 @@ class _FactorSearch:
     a placement against every placed vertex takes O(a) big-int operations.
     """
 
-    def __init__(self, view: _GraphView, a: int, b: int, a_cells: Matrix, pin_first_row: bool):
+    def __init__(
+        self, view: _GraphView, a: int, b: int, a_cells: Matrix, first_rows: tuple[int, ...]
+    ):
         self.view = view
         self.a = a
         self.b = b
         self.acell = a_cells
-        self.pin_first_row = pin_first_row
+        self.first_rows = first_rows  # rows the first vertex may take
         self.a_rowsums = [sum(row) for row in a_cells]
         self.linked = [[s for s in range(a) if row[s]] for row in a_cells]
         self.unlinked = [[s for s in range(a) if not row[s]] for row in a_cells]
@@ -259,10 +293,9 @@ class _FactorSearch:
         """
         view = self.view
         v = view.order[idx]
-        if idx == 0 and self.pin_first_row:
-            row_range = [0] if 0 in self.allowed_rows[v] else []
-        else:
-            row_range = self.allowed_rows[v]
+        row_range = self.allowed_rows[v]
+        if idx == 0:
+            row_range = [r for r in row_range if r in self.first_rows]
         # untouched columns of B are interchangeable: used ones + first fresh;
         # used columns always form a prefix of range(b)
         occupied, ones, zeros = self.occupied, self.ones, self.zeros
@@ -367,8 +400,10 @@ def factor_search(
     for a_cells in candidates:
         if prefilter and not _left_factor_feasible(a_cells, view, g_bipartite):
             continue
-        pin = _row_transitive(a_cells)
-        found = _FactorSearch(view, a, b, a_cells, pin).run()
+        smallest, first_rows = _symmetry(a_cells)
+        if prefilter and not smallest:  # an isomorphic copy came first
+            continue
+        found = _FactorSearch(view, a, b, a_cells, first_rows).run()
         if found is not None:
             return found
     return None
@@ -515,13 +550,14 @@ def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         raise ValueError("elimination requires equal node and edge counts")
     survivors = two_block_survivors(g1, g2)
-    assert I2_MATRIX in survivors
-    if len(survivors) > 1:
-        # Reachable only when the loop counts differ.  Every survivor other
-        # than I2 carries a loop and a cross edge, hence is connected and
-        # nonbipartite, so all components of A (x) B would have even order;
-        # this union's components have odd prime order.
-        assert g1.node_count % 2 == 1
+    if I2_MATRIX not in survivors:
+        raise InternalError("the counting filters eliminated the identity left factor")
+    # More than one survivor is reachable only when the loop counts differ.
+    # Every survivor other than I2 carries a loop and a cross edge, hence is
+    # connected and nonbipartite, so all components of A (x) B would have
+    # even order; this union's components have odd prime order.
+    if len(survivors) > 1 and g1.node_count % 2 == 0:
+        raise InternalError("a non-identity left factor survived on even-order components")
     return are_isomorphic(g1, g2, node_limit=None) is not None
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .core import Graph, InternalError, SizeLimitError, neighbor_lists, relabel
@@ -80,18 +81,31 @@ def _refine(
 
 
 def _processing_order(adj: list[list[int]], candidates: list[list[int]]) -> list[int]:
-    """Most-constrained-first order that stays connected where possible."""
+    """Most-constrained-first order that stays connected where possible.
+
+    The next node is the unplaced frontier node (a neighbour of a placed
+    node) with the smallest ``(len(candidates[v]), v)``, or the smallest
+    unplaced node by that key when the frontier is empty.  Both pools are
+    heaps; an entry for a node already placed is stale and skipped.
+    """
     n = len(adj)
     order: list[int] = []
     placed = [False] * n
-    frontier: set[int] = set()
+    rest = [(len(candidates[v]), v) for v in range(n)]
+    heapify(rest)
+    frontier: list[tuple[int, int]] = []
     while len(order) < n:
-        pool = frontier if frontier else set(v for v in range(n) if not placed[v])
-        best = min(pool, key=lambda v: (len(candidates[v]), v))
+        while frontier and placed[frontier[0][1]]:
+            heappop(frontier)
+        pool = frontier or rest
+        while placed[pool[0][1]]:
+            heappop(pool)
+        best = heappop(pool)[1]
         order.append(best)
         placed[best] = True
-        frontier.discard(best)
-        frontier.update(w for w in adj[best] if not placed[w])
+        for w in adj[best]:
+            if not placed[w]:
+                heappush(frontier, (len(candidates[w]), w))
     return order
 
 

@@ -32,6 +32,7 @@ from typing import Callable
 from .core import (
     Edge,
     Graph,
+    InternalError,
     PreconditionError,
     disjoint_union,
     format_edge_list,
@@ -197,7 +198,8 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
         if p - n >= d + 1:
             chosen = (p, d)
             break
-    assert chosen is not None
+    if chosen is None:
+        raise InternalError(f"no admissible prime between {2 * n} and {4 * n}")
     p, d = chosen
     fan = tuple((x, n) for x in range(n))
     cycle = tuple((n + i, n + i + 1) for i in range(p - n - 1)) + ((n, p - 1),)
@@ -205,8 +207,10 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
     padded = Graph(p, frozenset(g.edges) | set(fan) | set(cycle) | set(loops))
     result = PaddingResult(padded, p, fan, cycle, d)
     report = class_g_check(padded)
-    assert report.member, report.violations()
-    assert p - n > n
+    if not report.member:
+        raise InternalError(f"padding left class G: {'; '.join(report.violations())}")
+    if p - n <= n:
+        raise InternalError("the padding cycle is not longer than the input graph")
     return result
 
 
@@ -235,6 +239,22 @@ def class_g_isomorphism(g1: Graph, g2: Graph, oracle: CompositenessOracle) -> bo
     return oracle(disjoint_union(g1, g2))
 
 
+def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult] | None:
+    """Both graphs padded into class G, or None if the count filter answers NO.
+
+    Both inputs must be connected with at least 2 nodes.  Graphs whose node
+    or edge counts differ are not isomorphic and are not padded.
+    """
+    for g, which in ((g1, "first"), (g2, "second")):
+        if g.node_count < 2:
+            raise PreconditionError(f"{which} graph needs at least 2 nodes")
+        if not is_connected(g):
+            raise PreconditionError(f"{which} graph must be connected")
+    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
+        return None
+    return pad_to_class_g(g1), pad_to_class_g(g2)
+
+
 def graph_isomorphism_via_compositeness(
     g1: Graph, g2: Graph, oracle: CompositenessOracle
 ) -> bool:
@@ -243,13 +263,5 @@ def graph_isomorphism_via_compositeness(
     Count filter first, then both graphs are padded into class G and the
     oracle is asked once about the disjoint union of the padded graphs.
     """
-    for g, which in ((g1, "first"), (g2, "second")):
-        if g.node_count < 2:
-            raise PreconditionError(f"{which} graph needs at least 2 nodes")
-        if not is_connected(g):
-            raise PreconditionError(f"{which} graph must be connected")
-    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
-        return False
-    padded1 = pad_to_class_g(g1).padded
-    padded2 = pad_to_class_g(g2).padded
-    return oracle(disjoint_union(padded1, padded2))
+    pads = pad_pair(g1, g2)
+    return pads is not None and oracle(disjoint_union(pads[0].padded, pads[1].padded))

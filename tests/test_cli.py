@@ -238,6 +238,18 @@ def test_iso_json_outcome(capsys):
     assert report["outcome"]["oracle_calls"] == 1
 
 
+def test_iso_reduction_pads_each_input_once(monkeypatch, capsys):
+    from graphprod import reduction
+
+    pad = reduction.pad_to_class_g
+    padded = []
+    monkeypatch.setattr(reduction, "pad_to_class_g", lambda g: padded.append(g) or pad(g))
+    code, out, _ = run(capsys, "iso", "--mode", "reduction", "--json", path("c3"), path("c3b"))
+    assert code == 0
+    assert json.loads(out)["outcome"]["oracle_calls"] == 1
+    assert len(padded) == 2
+
+
 # -- classg --------------------------------------------------------------------
 
 

@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from graphprod import (
@@ -32,7 +34,13 @@ from graphprod import (
     witness_is_valid,
     witness_to_json,
 )
-from graphprod.factorization import I2_MATRIX
+from graphprod.factorization import (
+    I2_MATRIX,
+    _FactorSearch,
+    _GraphView,
+    _symmetric_matrices,
+    _symmetry,
+)
 from graphprod.isomorphism import IsomorphismWitness
 from graphprod.catalog import (
     C3,
@@ -211,6 +219,67 @@ def test_golden_witnesses_are_unchanged():
         h.update(repr(key).encode() + b"\n")
     assert (found, total) == GOLDEN_COUNTS
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+# -- left factors up to isomorphism --------------------------------------------
+
+
+@pytest.mark.parametrize("a, classes", [(2, 6), (3, 20), (4, 90)])
+def test_one_left_factor_per_isomorphism_class(a, classes):
+    # brute force: canonical form of M is the smallest P M P^T over all a!
+    # permutation matrices P; its automorphisms are the P with P M P^T == M
+    perms = [np.eye(a, dtype=int)[list(p)] for p in permutations(range(a))]
+    seen = set()
+    for mat in _symmetric_matrices(a):
+        m = np.array(mat)
+        images = [p @ m @ p.T for p in perms]
+        canon = min(tuple(x.ravel()) for x in images)
+        smallest, first_rows = _symmetry(mat)
+        if smallest:
+            assert canon not in seen
+            seen.add(canon)
+        orbit_min = [
+            min(int(np.argmax(p[:, r])) for p, x in zip(perms, images) if (x == m).all())
+            for r in range(a)
+        ]
+        assert first_rows == tuple(sorted(set(orbit_min)))
+    assert len(seen) == classes
+
+
+def _differential_cases():
+    rng = random.Random(5150)
+    for n in (6, 8, 9, 12):
+        for _ in range(20):
+            yield random_graph(n, rng, edge_p=rng.uniform(0.2, 0.6), loop_p=0.3)
+        for a in range(2, int(n**0.5) + 1):
+            if n % a == 0:
+                for _ in range(10):
+                    fa = random_graph(a, rng, edge_p=0.6, loop_p=0.5)
+                    fb = random_graph(n // a, rng, edge_p=0.5, loop_p=0.3)
+                    yield random_relabeling(direct_product(fa, fb), rng)
+
+
+def test_search_matches_every_exact_left_factor_in_order():
+    # the free search must return the first witness of a plain search over
+    # every left factor in ascending order, and fixed_a must match a plain
+    # search of its matrix: neither skipping isomorphic copies nor trying
+    # only the smallest row of each orbit first may change a witness
+    for g in _differential_cases():
+        n = g.node_count
+        view = _GraphView(g)
+        for a in range(2, int(n**0.5) + 1):
+            if n % a:
+                continue
+            b = n // a
+            expect = None
+            for mat in _symmetric_matrices(a):
+                expect = _FactorSearch(view, a, b, mat, tuple(range(a))).run()
+                assert factor_search(g, a, b, fixed_a=mat) == expect, (g, mat)
+                if expect is not None:
+                    break
+            assert factor_search(g, a, b) == expect, (g, a)
+            if n <= 9:
+                assert (expect is not None) == naive_factor_exists(g, a, b), (g, a)
 
 
 def test_completeness_exhaustive_order_4():
@@ -477,19 +546,60 @@ _REVERIFY_UNDER_O = textwrap.dedent(
 )
 
 
-def test_witness_reverification_raises_under_python_O():
+_CHECKS_UNDER_O = textwrap.dedent(
+    """
+    import graphprod.factorization as fz
+    import graphprod.reduction as red
+    from graphprod import InternalError
+    from graphprod.catalog import C3
+
+    assert not __debug__, "run me under python -O"
+    member = red.pad_to_class_g(C3).padded
+
+
+    def elimination_without_identity():
+        fz.two_block_survivors = lambda g1, g2: []
+        fz.union_compositeness_by_elimination(member, member)
+
+
+    def padding_outside_class_g():
+        red.class_g_check = lambda g: red.ClassGReport(False, False, True, True, True, True)
+        red.pad_to_class_g(C3)
+
+
+    for call in (elimination_without_identity, padding_outside_class_g):
+        try:
+            call()
+        except InternalError:
+            print("InternalError")
+        else:
+            print("returned")
+    """
+)
+
+
+def _run_under_python_O(script: str) -> list[str]:
     import graphprod
 
     src = os.path.dirname(os.path.dirname(graphprod.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _REVERIFY_UNDER_O],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InternalError"] * 3
+    return proc.stdout.split()
+
+
+def test_witness_reverification_raises_under_python_O():
+    assert _run_under_python_O(_REVERIFY_UNDER_O) == ["InternalError"] * 3
+
+
+def test_internal_checks_raise_under_python_O():
+    # one check in union_compositeness_by_elimination, one in pad_to_class_g
+    assert _run_under_python_O(_CHECKS_UNDER_O) == ["InternalError"] * 2
 
 
 def test_identity_factor_never_claimed():
