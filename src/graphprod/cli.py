@@ -18,6 +18,7 @@ import time
 
 from . import catalog, factorization, isomorphism, products, reduction
 from .core import (
+    MAX_HEADER_NODES,
     EdgeListParseError,
     InternalError,
     PreconditionError,
@@ -115,11 +116,13 @@ def _emit(args, inputs: list[str], outcome, human_lines: list[str], started: flo
 def _cmd_product(args, started: float) -> int:
     g1 = read_edge_list(args.file1)
     g2 = read_edge_list(args.file2)
-    limit = _env_limit() or products.DEFAULT_NODE_LIMIT
+    # capped at the header ceiling, so graphprod can read back what it writes
+    limit = min(_env_limit() or products.DEFAULT_NODE_LIMIT, MAX_HEADER_NODES)
     result = product(ProductKind(args.kind), g1, g2, node_limit=limit)
     text = format_edge_list(result)
     if args.out:
-        write_edge_list(result, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         human = [f"wrote {args.out}: {result.node_count} nodes, {result.edge_count} edges"]
     else:
         human = [text.rstrip("\n")]

@@ -16,17 +16,27 @@ Every counting argument in :mod:`graphprod.factorization` and
 
 Optional per-node labels are opaque strings carried for I/O convenience and
 ignored by every algorithm.
+
+Every algorithm runs on plain Python integers (``Graph.adjacency_masks``).
+numpy is imported only by the array helpers :func:`adjacency_matrix` and
+:func:`graph_from_adjacency`, on first call, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, int]
+
+# Largest node count an edge-list header may announce.  Checked before
+# anything is sized by n; it stays far above every default search bound.
+MAX_HEADER_NODES = 1 << 20
 
 
 class GraphProdError(Exception):
@@ -252,6 +262,8 @@ def is_bipartite(g: Graph) -> bool:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 matrix; a self-loop is a single 1 on the diagonal."""
+    import numpy as np
+
     n = g.node_count
     mat = np.zeros((n, n), dtype=np.uint8)
     for u, v in g.edges:
@@ -262,6 +274,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def graph_from_adjacency(mat: np.ndarray, labels: Sequence[str] | None = None) -> Graph:
     """Inverse of :func:`adjacency_matrix`; validates symmetry and 0/1 entries."""
+    import numpy as np
+
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("adjacency matrix must be square")
@@ -283,7 +297,11 @@ def graph_from_adjacency(mat: np.ndarray, labels: Sequence[str] | None = None) -
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text; raises :class:`EdgeListParseError` on bad input."""
+    """Parse edge-list text; raises :class:`EdgeListParseError` on bad input.
+
+    A header announcing more than :data:`MAX_HEADER_NODES` nodes raises
+    :class:`SizeLimitError` before anything is sized by n.
+    """
     header: tuple[int, int] | None = None
     edges: set[Edge] = set()
     expected = 0
@@ -301,6 +319,11 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError("header must hold two integers", lineno) from None
             if n < 0 or m < 0:
                 raise EdgeListParseError("counts must be nonnegative", lineno)
+            if n > MAX_HEADER_NODES:
+                raise SizeLimitError(
+                    f"line {lineno}: header announces {n} nodes, above the "
+                    f"{MAX_HEADER_NODES}-node ceiling"
+                )
             header = (n, m)
             expected = m
             continue

@@ -58,11 +58,10 @@ order and return identical witnesses.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-
-import numpy as np
 
 from .catalog import D2
 from .core import (
@@ -129,13 +128,33 @@ def witness_to_json(w: FactorizationWitness) -> dict:
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _axis(x) -> list:
+    """The items of ``x`` if numpy reads ``x`` as an array axis, else ``[]``.
+
+    Array-likes (numpy arrays and scalars) are read through ``__array__``.
+    Strings and bytes are scalars to numpy; sets, mappings and iterators
+    become 0-d object arrays.
+    """
+    if hasattr(x, "__array__"):
+        x = x.__array__().tolist()
+    if isinstance(x, Sequence) and not isinstance(x, (str, bytes)):
+        return list(x)
+    return []
+
+
 def _check_fixed_a(fixed_a, a: int) -> Matrix:
-    mat = np.asarray(fixed_a)
-    if mat.shape != (a, a):
+    """``fixed_a`` as a tuple matrix, read without numpy as ``numpy.asarray`` would."""
+    rows = [_axis(row) for row in _axis(fixed_a)]
+    if (
+        len(rows) != a
+        or any(len(row) != a for row in rows)
+        or any(_axis(x) for row in rows for x in row)  # a third axis
+    ):
         raise ValueError(f"fixed_a must be a {a}x{a} matrix")
-    if not np.array_equal(mat, mat.T) or not np.isin(mat, (0, 1)).all():
+    cells = tuple(tuple(1 if x == 1 else 0 if x == 0 else -1 for x in row) for row in rows)
+    if any(cells[i][j] < 0 or cells[i][j] != cells[j][i] for i in range(a) for j in range(a)):
         raise ValueError("fixed_a must be a symmetric 0/1 matrix")
-    return tuple(tuple(int(x) for x in row) for row in mat)
+    return cells
 
 
 @lru_cache(maxsize=4096)  # fixed_a matrices come from callers: keep it bounded
@@ -162,9 +181,12 @@ def _symmetry(cells: Matrix) -> tuple[bool, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=4096)  # all 8 + 64 + 1024 candidates for a <= 4 fit
-def _bipartite(cells: Matrix) -> bool:
-    """Whether the graph with adjacency matrix ``cells`` is bipartite."""
-    return two_coloring([sum(x << j for j, x in enumerate(row)) for row in cells]) is not None
+def _counts(cells: Matrix) -> tuple[int, int, int, bool]:
+    """Nonzeros, loops, zero rows and bipartiteness of the matrix ``cells``."""
+    masks = [sum(x << j for j, x in enumerate(row)) for row in cells]
+    loops = sum(mask >> i & 1 for i, mask in enumerate(masks))
+    bipartite = loops == 0 and two_coloring(masks) is not None
+    return sum(mask.bit_count() for mask in masks), loops, masks.count(0), bipartite
 
 
 @lru_cache(maxsize=4)  # a <= 4 under the default node bound
@@ -207,22 +229,20 @@ class _GraphView:
 def _left_factor_feasible(a_cells: Matrix, view: _GraphView, g_bipartite: bool) -> bool:
     """Necessary counting conditions for g = A (x) B with this left factor."""
     g = view.g
-    a = len(a_cells)
-    b = g.node_count // a
-    nz_a = sum(sum(row) for row in a_cells)
+    b = g.node_count // len(a_cells)
+    nz_a, loops_a, zero_rows_a, bipartite_a = _counts(a_cells)
     nz_g = g.nonzero_count
     if nz_g > 0 and (nz_a == 0 or nz_g % nz_a != 0 or nz_g // nz_a > b * b):
         return False
-    loops_a = sum(a_cells[i][i] for i in range(a))
     loops_g = g.loop_count
     if loops_g > 0 and loops_a == 0:
         return False
     if loops_a > 0 and (loops_g % loops_a != 0 or loops_g // loops_a > b):
         return False
-    if sum(1 for row in a_cells if not any(row)) * b > view.isolated:
+    if zero_rows_a * b > view.isolated:
         return False
     # a bipartite left factor only produces bipartite products
-    return g_bipartite or nz_g == 0 or not _bipartite(a_cells)
+    return g_bipartite or nz_g == 0 or not bipartite_a
 
 
 class _FactorSearch:

@@ -10,15 +10,21 @@ checks precisely that.
 Self-loops fall out of the edge rules verbatim.  For example the direct
 product has a loop at (x, y) iff both x and y carry loops, while the
 cartesian product has a loop at (x, y) iff either does.
+
+Products are built on edge sets.  numpy is imported only by the array
+helpers :func:`kronecker` and :func:`verify_kronecker_identity`, on first
+call, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Edge, Graph, SizeLimitError, adjacency_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_NODE_LIMIT = 4096
 
@@ -131,6 +137,8 @@ def kronecker(
     a: np.ndarray, b: np.ndarray, *, node_limit: int | None = DEFAULT_NODE_LIMIT
 ) -> np.ndarray:
     """Kronecker product of two matrices (each entry of a scales all of b)."""
+    import numpy as np
+
     a = np.asarray(a)
     b = np.asarray(b)
     if node_limit is not None and a.shape[0] * b.shape[0] > node_limit:
@@ -147,6 +155,8 @@ def verify_kronecker_identity(g1: Graph, g2: Graph) -> bool:
     Row-major pair indexing makes the two sides literally equal, so the
     comparison is exact, with no permutation search.
     """
+    import numpy as np
+
     lhs = adjacency_matrix(direct_product(g1, g2, node_limit=None))
     rhs = kronecker(adjacency_matrix(g1), adjacency_matrix(g2), node_limit=None)
     return np.array_equal(lhs, rhs)

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, output formats, corpus round-trips."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -64,6 +66,40 @@ def test_product_writes_file(tmp_path, capsys):
     )
     assert code == 0
     assert parse_edge_list(target.read_text()).node_count == 4
+
+
+def test_product_out_formats_once_and_matches_the_report(monkeypatch, tmp_path, capsys):
+    from graphprod import core, cli, format_edge_list, strong_product
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.node_count)
+        return format_edge_list(g)
+
+    monkeypatch.setattr(core, "format_edge_list", counted)
+    monkeypatch.setattr(cli, "format_edge_list", counted)
+    target = tmp_path / "out.el"
+    code, out, _ = run(
+        capsys, "product", "--kind", "strong", "--json", "--out", str(target), path("c5"), path("c5")
+    )
+    assert code == 0
+    assert calls == [25]
+    text = format_edge_list(strong_product(C5, C5))
+    assert target.read_bytes() == text.encode()
+    assert json.loads(out)["outcome"]["edge_list"] == text
+
+
+def test_product_bound_never_exceeds_the_header_ceiling(monkeypatch, tmp_path, capsys):
+    empty = tmp_path / "empty.el"
+    empty.write_text("1200 0\n")
+    monkeypatch.setenv("GRAPHPROD_MAX_NODES", "2000000")
+    target = tmp_path / "out.el"
+    code, _, err = run(
+        capsys, "product", "--kind", "direct", "--out", str(target), str(empty), str(empty)
+    )
+    assert code == 3
+    assert "1440000" in err and not target.exists()
 
 
 def test_product_parse_error_exit_2(tmp_path, capsys):
@@ -286,6 +322,16 @@ def test_classg_pad_json(capsys):
     assert pad["padded_graph"].startswith("7 13\n")
 
 
+def test_classg_header_above_the_ceiling_exit_3(tmp_path, capsys):
+    huge = tmp_path / "huge.el"
+    huge.write_text("1000000000 0\n")
+    code, out, err = run(capsys, "classg", "--json", str(huge))
+    assert code == 3
+    assert "ceiling" in err
+    report = json.loads(out)
+    assert report["command"] == "classg" and report["exit_code"] == 3
+
+
 def test_classg_pad_disconnected_exit_4(capsys):
     code, _, err = run(capsys, "classg", "--pad", path("twocomp"))
     assert code == 4
@@ -323,6 +369,77 @@ def test_demo_json(capsys):
 
 
 # -- installed entry point -------------------------------------------------------
+
+
+_NUMPY_FREE_RUNS = textwrap.dedent(
+    """
+    import contextlib, io, os, sys
+
+    import graphprod, graphprod.cli
+    from graphprod.catalog import corpus_path
+
+    def p(name):
+        return str(corpus_path(name))
+
+    tmp = sys.argv[1]
+    prod = os.path.join(tmp, "prod.el")
+    runs = [
+        ["product", "--kind", "direct", "--out", prod, p("k2"), p("c3")],
+        ["factor", prod],
+        ["factor", "--json", p("twocomp")],
+        ["iso", "--mode", "direct", p("c3"), p("c3b")],
+        ["iso", "--mode", "reduction", p("c3"), p("c3b")],
+        ["iso", "--mode", "reduction", "--oracle", "classg-elimination", p("p4"), p("p4b")],
+        ["classg", "--pad", "--out", os.path.join(tmp, "pad.el"), p("c3")],
+        ["demo", "fig2"],
+        ["demo", "fig3"],
+    ]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = graphprod.cli.main(argv)
+        print(argv[0], code)
+    print("numpy loaded:", "numpy" in sys.modules)
+
+    import numpy as np
+    from graphprod import (
+        adjacency_matrix, graph_from_adjacency, kronecker, verify_kronecker_identity,
+    )
+    from graphprod.catalog import C3, K2
+
+    mat = adjacency_matrix(C3)
+    print(isinstance(mat, np.ndarray), mat.dtype)
+    print(graph_from_adjacency(mat) == C3)
+    kron = kronecker(adjacency_matrix(K2), mat)
+    print(isinstance(kron, np.ndarray), kron.dtype, kron.shape)
+    print(verify_kronecker_identity(K2, C3))
+    """
+)
+
+
+def test_numpy_stays_off_the_import_and_cli_paths(tmp_path):
+    import graphprod
+
+    src = os.path.dirname(os.path.dirname(graphprod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUNS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:9] == [
+        "product 0", "factor 0", "factor 0", "iso 0", "iso 0", "iso 0",
+        "classg 0", "demo 0", "demo 0",
+    ]
+    assert lines[9:] == [
+        "numpy loaded: False",
+        "True uint8",
+        "True",
+        "True uint8 (6, 6)",
+        "True",
+    ]
 
 
 def test_console_script_smoke():

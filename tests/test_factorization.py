@@ -23,6 +23,7 @@ from graphprod import (
     factor_search,
     factorization_from_isomorphism,
     find_factorization,
+    is_bipartite,
     is_isomorphism,
     is_prime_direct,
     isomorphism_from_union_factorization,
@@ -38,6 +39,8 @@ from graphprod.factorization import (
     I2_MATRIX,
     _FactorSearch,
     _GraphView,
+    _check_fixed_a,
+    _counts,
     _symmetric_matrices,
     _symmetry,
 )
@@ -244,6 +247,83 @@ def test_one_left_factor_per_isomorphism_class(a, classes):
         ]
         assert first_rows == tuple(sorted(set(orbit_min)))
     assert len(seen) == classes
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_per_matrix_counts_match_the_graph_of_each_matrix(a):
+    for mat in _symmetric_matrices(a):
+        edges = frozenset((i, j) for i in range(a) for j in range(i, a) if mat[i][j])
+        g = Graph(a, edges)
+        assert _counts(mat) == (
+            g.nonzero_count,
+            g.loop_count,
+            sum(1 for row in mat if not any(row)),
+            is_bipartite(g),
+        ), mat
+
+
+# -- fixed_a validation: the table pins the results of numpy.asarray parsing ----
+
+_K2_MATRIX = ((0, 1), (1, 0))
+_LOOPED_EDGE = ((1, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "fixed_a, cells",
+    [
+        ([[1, 0], [0, 1]], I2_MATRIX),
+        (((0, 1), (1, 0)), _K2_MATRIX),
+        ([(1, 1), [1, 0]], _LOOPED_EDGE),
+        (np.eye(2, dtype=int), I2_MATRIX),
+        (np.array([[0, 1], [1, 0]], dtype=np.uint8), _K2_MATRIX),
+        (np.array([[1.0, 1.0], [1.0, 0.0]]), _LOOPED_EDGE),
+        (np.eye(2, dtype=bool), I2_MATRIX),
+        ([[True, False], [False, True]], I2_MATRIX),
+        ([[False, True], [1, 0.0]], _K2_MATRIX),
+        ([[1.0, 0], [0, 1.0]], I2_MATRIX),
+        ([[np.int64(1), np.True_], [np.float32(1.0), 0]], _LOOPED_EDGE),
+        ((np.array([0, 1]), np.array([1, 0])), _K2_MATRIX),
+    ],
+)
+def test_fixed_a_accepted(fixed_a, cells):
+    assert _check_fixed_a(fixed_a, 2) == cells
+    left = Graph(2, frozenset((i, j) for i in range(2) for j in range(i, 2) if cells[i][j]))
+    witness = factor_search(direct_product(left, C3), 2, 3, fixed_a=fixed_a)
+    assert witness is not None and witness.factor_a == left
+
+
+@pytest.mark.parametrize(
+    "fixed_a",
+    [
+        [[1, 0], [0]],  # ragged
+        [[1, 0], [0, 1, 0]],  # ragged
+        [[2, 0], [0, 1]],
+        [[1, 0], [0, 2]],
+        [[0, 1], [0, 0]],  # asymmetric
+        np.array([[1, 1], [0, 1]]),
+        [["1", "0"], ["0", "1"]],
+        ["10", "01"],
+        "10",
+        [[0.5, 0], [0, 1]],
+        [[1, 0], [0, float("nan")]],
+        [[-1, 0], [0, 1]],
+        [[1, None], [None, 1]],
+        np.eye(3, dtype=int),  # wrong shape
+        [[1, 0, 0], [0, 1, 0]],
+        [1, 0],
+        [],
+        1,
+        np.int64(1),
+        np.ones((2, 2, 1), dtype=int),
+        [[[1], [0]], [[0], [1]]],
+        {(1, 0), (0, 1)},
+        {0: [1, 0], 1: [0, 1]},
+        [b"\x01\x00", b"\x00\x01"],
+    ],
+)
+def test_fixed_a_rejected(fixed_a):
+    with pytest.raises(ValueError):
+        factor_search(direct_product(K2, C3), 2, 3, fixed_a=fixed_a)
 
 
 def _differential_cases():

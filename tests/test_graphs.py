@@ -19,9 +19,12 @@ from graphprod import (
     induced_subgraph,
     is_bipartite,
     is_connected,
+    SizeLimitError,
     parse_edge_list,
+    products,
     relabel,
 )
+from graphprod.core import MAX_HEADER_NODES
 from graphprod.catalog import C3, C4, C5, K1_4, K2, add_loops
 
 from helpers import all_graphs, random_graph
@@ -218,3 +221,11 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list(text)
     assert err.value.line == line
+
+
+def test_parse_rejects_a_header_above_the_node_ceiling():
+    assert MAX_HEADER_NODES > products.DEFAULT_NODE_LIMIT
+    for text in ("1000000000 0\n", f"# big\n{MAX_HEADER_NODES + 1} 1\n0 1\n"):
+        with pytest.raises(SizeLimitError, match="ceiling"):
+            parse_edge_list(text)
+    assert parse_edge_list(f"{MAX_HEADER_NODES} 0\n").node_count == MAX_HEADER_NODES
