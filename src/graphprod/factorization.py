@@ -2,18 +2,19 @@
 
 The factor search answers: can graph g be relabelled so that its adjacency
 matrix becomes A (x) B for some graphs A (order a) and B (order b)?  The
-left order a never exceeds the square root of the node count, so the
-symmetric 0/1 candidates for A are enumerated outright, in ascending bitmask
-order (8, 64 and 1024 of them for a = 2, 3, 4), and cheap counting filters
-discard most before any search runs: nnz(A) must divide nnz(g), loop counts
-must factor likewise, a zero row of A forces isolated vertices g may not
-have, and a bipartite A cannot produce a nonbipartite g.
+left order a never exceeds the square root of the node count, so the left
+factors are listed outright, in one table per order built on first use
+with one record per isomorphism class (6, 20, 90 and 544 for a = 2, 3, 4,
+5, of 8, 64, 1024 and 32768 symmetric 0/1 matrices).  In ascending bitmask
+order, the first matrix not yet seen is the smallest of its class, the one
+Read's orderly generation picks (Ann. Discrete Math. 2, 1978); one pass
+over its a! row permutations marks the class as seen and gives the orbits
+of Aut(A) on rows.  Counting filters on the records discard most classes
+before any search runs: nnz(A) must divide nnz(g), loop counts must factor
+likewise, a zero row of A forces isolated vertices g may not have, and a
+bipartite A cannot produce a nonbipartite g.  Two symmetry rules follow:
 
-Two symmetry rules, from one pass over the a! row permutations of each
-surviving A, cut the search further:
-
-* only the candidate with the smallest bitmask of its isomorphism class is
-  searched, which leaves 6, 20 and 90 candidates for a = 2, 3, 4;
+* only the smallest bitmask of each isomorphism class is searched;
 * the first vertex placed tries only the smallest row of each orbit of
   Aut(A) on rows (only row 0 when Aut(A) is transitive on rows).
 
@@ -61,7 +62,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .catalog import D2
 from .core import (
@@ -106,6 +109,8 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
     a = w.factor_a.node_count
     b = w.factor_b.node_count
     if a < 2 or b < 2 or a * b != g.node_count or len(w.labeling) != g.node_count:
+        return False
+    if not all(0 <= r < a and 0 <= c < b for r, c in w.labeling):
         return False
     mapping = [r * b + c for r, c in w.labeling]
     if sorted(mapping) != list(range(g.node_count)):
@@ -157,49 +162,80 @@ def _check_fixed_a(fixed_a, a: int) -> Matrix:
     return cells
 
 
-@lru_cache(maxsize=4096)  # fixed_a matrices come from callers: keep it bounded
-def _symmetry(cells: Matrix) -> tuple[bool, tuple[int, ...]]:
-    """Both symmetry rules of the search, from one pass over row permutations.
+# Bit k of a matrix's bitmask is its k-th upper-triangle cell, row by row.
+# Its key lists the same cells from the most significant down, so keys
+# compare as bitmasks do and itertools.product lists them in ascending order.
+def _upper(a: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(a) for j in range(i, a)][::-1]
 
-    Returns whether ``cells`` has the smallest bitmask of its isomorphism
-    class, in the order of :func:`_symmetric_matrices`, and the smallest row
-    of each orbit of its automorphism group on rows, ascending.
-    """
+
+def _matrix(a: int, key: tuple[int, ...]) -> Matrix:
+    mat = [[0] * a for _ in range(a)]
+    for x, (i, j) in zip(key, _upper(a)):
+        mat[i][j] = mat[j][i] = x
+    return tuple(map(tuple, mat))
+
+
+def _permuters(a: int) -> list:
+    """Each row permutation P, with a getter from the flattened A to the key of P A P^T."""
+    upper = _upper(a)
+    return [
+        (perm, itemgetter(*(perm[i] * a + perm[j] for i, j in upper)))
+        for perm in permutations(range(a))
+    ]
+
+
+class _LeftFactor(NamedTuple):
+    """One left factor A, with everything the counting filters and the search read."""
+
+    cells: Matrix
+    first_rows: tuple[int, ...]  # the smallest row of each orbit of Aut(A) on rows
+    nonzeros: int
+    loops: int
+    zero_rows: int
+    bipartite: bool
+    rowsums: tuple[int, ...]
+    linked: tuple[tuple[int, ...], ...]  # linked[r]: the rows s with A[r][s] = 1
+    unlinked: tuple[tuple[int, ...], ...]
+
+
+def _left_factor(cells: Matrix, permuters: list) -> tuple[_LeftFactor, set[tuple[int, ...]]]:
+    """The record of A = ``cells`` and the keys of every P A P^T, over row permutations P."""
     a = len(cells)
-    upper = [(i, j) for i in range(a) for j in range(i, a)]
-    mask = sum(cells[i][j] << bit for bit, (i, j) in enumerate(upper))
-    smallest = True
-    lowest = list(range(a))  # smallest row of each row's orbit
-    for perm in permutations(range(a)):
-        image = sum(cells[perm[i]][perm[j]] << bit for bit, (i, j) in enumerate(upper))
-        if image < mask:
-            smallest = False
-        elif image == mask:  # an automorphism: rows i and perm[i] share an orbit
-            for i in range(a):
-                lowest[perm[i]] = min(lowest[perm[i]], i)
-    return smallest, tuple(sorted(set(lowest)))
-
-
-@lru_cache(maxsize=4096)  # all 8 + 64 + 1024 candidates for a <= 4 fit
-def _counts(cells: Matrix) -> tuple[int, int, int, bool]:
-    """Nonzeros, loops, zero rows and bipartiteness of the matrix ``cells``."""
+    flat = sum(cells, ())
+    images = [permute(flat) for _, permute in permuters]
+    # the identity comes first; row r is the smallest of its orbit under the
+    # automorphisms unless one of them carries it to a smaller row
+    automorphisms = [perm for (perm, _), image in zip(permuters, images) if image == images[0]]
+    first_rows = tuple(r for r in range(a) if all(perm[r] >= r for perm in automorphisms))
     masks = [sum(x << j for j, x in enumerate(row)) for row in cells]
-    loops = sum(mask >> i & 1 for i, mask in enumerate(masks))
-    bipartite = loops == 0 and two_coloring(masks) is not None
-    return sum(mask.bit_count() for mask in masks), loops, masks.count(0), bipartite
+    loops = sum(m >> i & 1 for i, m in enumerate(masks))
+    rowsums = tuple(m.bit_count() for m in masks)
+    record = _LeftFactor(
+        cells,
+        first_rows,
+        sum(rowsums),
+        loops,
+        rowsums.count(0),
+        loops == 0 and two_coloring(masks) is not None,
+        rowsums,
+        tuple(tuple(s for s in range(a) if row[s]) for row in cells),
+        tuple(tuple(s for s in range(a) if not row[s]) for row in cells),
+    )
+    return record, set(images)
 
 
-@lru_cache(maxsize=4)  # a <= 4 under the default node bound
-def _symmetric_matrices(a: int) -> tuple[Matrix, ...]:
-    """All symmetric 0/1 a-by-a matrices, in ascending bitmask order."""
-    cells = [(i, j) for i in range(a) for j in range(i, a)]
+@lru_cache(maxsize=None)  # one entry per left order reached
+def _left_factors(a: int) -> tuple[_LeftFactor, ...]:
+    """One record per class of order-a left factors, for its first key in ascending order."""
+    permuters = _permuters(a)
+    seen: set[tuple[int, ...]] = set()
     out = []
-    for mask in range(1 << len(cells)):
-        mat = [[0] * a for _ in range(a)]
-        for bit, (i, j) in enumerate(cells):
-            if mask >> bit & 1:
-                mat[i][j] = mat[j][i] = 1
-        out.append(tuple(map(tuple, mat)))
+    for key in product((0, 1), repeat=a * (a + 1) // 2):
+        if key not in seen:
+            record, orbit = _left_factor(_matrix(a, key), permuters)
+            seen |= orbit
+            out.append(record)
     return tuple(out)
 
 
@@ -226,11 +262,11 @@ class _GraphView:
                 order.append(w)
 
 
-def _left_factor_feasible(a_cells: Matrix, view: _GraphView, g_bipartite: bool) -> bool:
+def _left_factor_feasible(left: _LeftFactor, view: _GraphView, g_bipartite: bool) -> bool:
     """Necessary counting conditions for g = A (x) B with this left factor."""
     g = view.g
-    b = g.node_count // len(a_cells)
-    nz_a, loops_a, zero_rows_a, bipartite_a = _counts(a_cells)
+    b = g.node_count // len(left.cells)
+    nz_a, loops_a = left.nonzeros, left.loops
     nz_g = g.nonzero_count
     if nz_g > 0 and (nz_a == 0 or nz_g % nz_a != 0 or nz_g // nz_a > b * b):
         return False
@@ -239,10 +275,10 @@ def _left_factor_feasible(a_cells: Matrix, view: _GraphView, g_bipartite: bool) 
         return False
     if loops_a > 0 and (loops_g % loops_a != 0 or loops_g // loops_a > b):
         return False
-    if zero_rows_a * b > view.isolated:
+    if left.zero_rows * b > view.isolated:
         return False
     # a bipartite left factor only produces bipartite products
-    return g_bipartite or nz_g == 0 or not bipartite_a
+    return g_bipartite or nz_g == 0 or not left.bipartite
 
 
 class _FactorSearch:
@@ -254,21 +290,15 @@ class _FactorSearch:
     a placement against every placed vertex takes O(a) big-int operations.
     """
 
-    def __init__(
-        self, view: _GraphView, a: int, b: int, a_cells: Matrix, first_rows: tuple[int, ...]
-    ):
+    def __init__(self, view: _GraphView, b: int, left: _LeftFactor):
         self.view = view
-        self.a = a
+        self.a = a = len(left.cells)
         self.b = b
-        self.acell = a_cells
-        self.first_rows = first_rows  # rows the first vertex may take
-        self.a_rowsums = [sum(row) for row in a_cells]
-        self.linked = [[s for s in range(a) if row[s]] for row in a_cells]
-        self.unlinked = [[s for s in range(a) if not row[s]] for row in a_cells]
+        self.left = left
         # row sums multiply across a Kronecker product, so vertex v fits in
         # row r only if rowsum_A(r) divides its adjacency row sum
         self.allowed_rows = [
-            [r for r, ar in enumerate(self.a_rowsums)
+            [r for r, ar in enumerate(left.rowsums)
              if (d % ar == 0 and d // ar <= b if ar else d == 0)]
             for d in view.rowsums
         ]
@@ -311,11 +341,11 @@ class _FactorSearch:
         Yields once per placement, while it stands; the placement is taken
         back before the next one is tried.
         """
-        view = self.view
+        view, left = self.view, self.left
         v = view.order[idx]
         row_range = self.allowed_rows[v]
         if idx == 0:
-            row_range = [r for r in row_range if r in self.first_rows]
+            row_range = [r for r in row_range if r in left.first_rows]
         # untouched columns of B are interchangeable: used ones + first fresh;
         # used columns always form a prefix of range(b)
         occupied, ones, zeros = self.occupied, self.ones, self.zeros
@@ -325,15 +355,15 @@ class _FactorSearch:
         b_rowsums = self.b_rowsums
         nbr_cols = self.nbr_cols[v * self.a : (v + 1) * self.a]
         for r in row_range:
-            if any(nbr_cols[s] for s in self.unlinked[r]) or (loop and not self.acell[r][r]):
+            if any(nbr_cols[s] for s in left.unlinked[r]) or (loop and not left.cells[r][r]):
                 continue
             # B row c must hold 1 at the column of every placed neighbour in a
             # row A links to r, and 0 at every other placed column of those rows
             one = zero = 0
-            for s in self.linked[r]:
+            for s in left.linked[r]:
                 one |= nbr_cols[s]
                 zero |= occupied[s] & ~nbr_cols[s]
-            ar = self.a_rowsums[r]
+            ar = left.rowsums[r]
             for c in col_range:
                 if occupied[r] >> c & 1:
                     continue
@@ -341,7 +371,7 @@ class _FactorSearch:
                 if b_rowsums[c] >= 0 and d != ar * b_rowsums[c]:
                     continue
                 one_c, zero_c = one, zero
-                if self.acell[r][r]:
+                if left.cells[r][r]:
                     if loop:
                         one_c |= 1 << c
                     else:
@@ -360,7 +390,8 @@ class _FactorSearch:
                 self._toggle(v, r, c, new_one, new_zero)
 
     def _finish(self) -> FactorizationWitness:
-        a_edges = {(i, j) for i in range(self.a) for j in range(i, self.a) if self.acell[i][j]}
+        cells = self.left.cells
+        a_edges = {(i, j) for i in range(self.a) for j in range(i, self.a) if cells[i][j]}
         b_edges = {(k, l) for k in range(self.b) for l in bits(self.ones[k]) if k <= l}
         witness = FactorizationWitness(
             Graph(self.a, frozenset(a_edges)),
@@ -409,23 +440,16 @@ def factor_search(
         raise ValueError("factor orders must satisfy 2 <= a <= b")
     if a * b != g.node_count:
         raise ValueError(f"{a} * {b} != {g.node_count} nodes")
-    if fixed_a is not None:
-        candidates = [_check_fixed_a(fixed_a, a)]
-        prefilter = False
-    else:
-        candidates = _symmetric_matrices(a)
-        prefilter = True
-    g_bipartite = is_bipartite(g)
     view = _GraphView(g)
-    for a_cells in candidates:
-        if prefilter and not _left_factor_feasible(a_cells, view, g_bipartite):
-            continue
-        smallest, first_rows = _symmetry(a_cells)
-        if prefilter and not smallest:  # an isomorphic copy came first
-            continue
-        found = _FactorSearch(view, a, b, a_cells, first_rows).run()
-        if found is not None:
-            return found
+    if fixed_a is not None:
+        left = _left_factor(_check_fixed_a(fixed_a, a), _permuters(a))[0]
+        return _FactorSearch(view, b, left).run()
+    g_bipartite = is_bipartite(g)
+    for left in _left_factors(a):
+        if _left_factor_feasible(left, view, g_bipartite):
+            found = _FactorSearch(view, b, left).run()
+            if found is not None:
+                return found
     return None
 
 
@@ -462,6 +486,18 @@ def is_prime_direct(g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT) ->
 # -- disjoint unions of two equal-order connected graphs ---------------------
 
 
+def _require_connected_pair(g1: Graph, g2: Graph, what: str) -> int:
+    """The common order of two connected graphs of equal order at least 2."""
+    n = g1.node_count
+    if g2.node_count != n:
+        raise ValueError("graphs must have equal order")
+    if n < 2:
+        raise ValueError(f"{what} needs order at least 2")
+    if not (is_connected(g1) and is_connected(g2)):
+        raise PreconditionError("both graphs must be connected")
+    return n
+
+
 def factorization_from_isomorphism(
     g1: Graph, g2: Graph, witness: IsomorphismWitness
 ) -> FactorizationWitness:
@@ -471,13 +507,7 @@ def factorization_from_isomorphism(
     is g1.  Vertices of g1 keep their labels in row 0, vertices of g2 land in
     row 1 at the position of their preimage under the isomorphism.
     """
-    n = g1.node_count
-    if g2.node_count != n:
-        raise ValueError("graphs must have equal order")
-    if n < 2:
-        raise ValueError("doubling factorization needs order at least 2")
-    if not (is_connected(g1) and is_connected(g2)):
-        raise PreconditionError("both graphs must be connected")
+    n = _require_connected_pair(g1, g2, "doubling factorization")
     if not is_isomorphism(g1, g2, witness.mapping):
         raise ValueError("witness is not an isomorphism from g1 to g2")
     inverse = [0] * n
@@ -501,13 +531,7 @@ def isomorphism_from_union_factorization(
     the labeling, so matching column positions across the two rows reads off
     the isomorphism.  Returns None exactly when no such factorization exists.
     """
-    n = g1.node_count
-    if g2.node_count != n:
-        raise ValueError("graphs must have equal order")
-    if n < 2:
-        raise ValueError("union factorization needs order at least 2")
-    if not (is_connected(g1) and is_connected(g2)):
-        raise PreconditionError("both graphs must be connected")
+    n = _require_connected_pair(g1, g2, "union factorization")
     union = disjoint_union(g1, g2)
     found = factor_search(union, 2, n, node_limit=node_limit, fixed_a=I2_MATRIX)
     if found is None:
@@ -543,7 +567,7 @@ def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tup
     """
     total = g1.nonzero_count + g2.nonzero_count
     survivors = []
-    for mat in sorted(_symmetric_matrices(2)):
+    for mat in sorted(_matrix(2, key) for key in product((0, 1), repeat=3)):
         nonzeros = mat[0][0] + mat[0][1] + mat[1][0] + mat[1][1]
         if nonzeros < 2:
             continue

@@ -14,9 +14,10 @@ fits v iff w is not in ``image`` and ``masks2[w] & image == need[v]``: the
 edges from w to the mapped nodes are exactly the images of the edges from v,
 checked in O(1) big-int operations (the bit-parallel candidate filtering of
 VF2, Cordella et al., IEEE TPAMI 2004).  Placing v at w XORs bit w into
-``need[u]`` for each neighbour u of v, and the undo is the same XOR.  The
-search runs on an explicit per-depth candidate cursor, so its depth is not
-bounded by Python's recursion limit.
+``need[u]`` for each neighbour u of v, and the undo is the same XOR.  Each
+refinement cell is a node bitmask, so a depth's untried candidates are
+``cell & ~image`` above its cursor; the cursors form an explicit stack, so
+the depth is not bounded by Python's recursion limit.
 
 Candidates are tried in ascending node order inside each refinement cell and
 the node processing order is itself deterministic, so a successful search
@@ -80,18 +81,18 @@ def _refine(
     return None
 
 
-def _processing_order(adj: list[list[int]], candidates: list[list[int]]) -> list[int]:
+def _processing_order(adj: list[list[int]], sizes: list[int]) -> list[int]:
     """Most-constrained-first order that stays connected where possible.
 
     The next node is the unplaced frontier node (a neighbour of a placed
-    node) with the smallest ``(len(candidates[v]), v)``, or the smallest
+    node) with the smallest ``(sizes[v], v)``, or the smallest
     unplaced node by that key when the frontier is empty.  Both pools are
     heaps; an entry for a node already placed is stale and skipped.
     """
     n = len(adj)
     order: list[int] = []
     placed = [False] * n
-    rest = [(len(candidates[v]), v) for v in range(n)]
+    rest = [(sizes[v], v) for v in range(n)]
     heapify(rest)
     frontier: list[tuple[int, int]] = []
     while len(order) < n:
@@ -105,7 +106,7 @@ def _processing_order(adj: list[list[int]], candidates: list[list[int]]) -> list
         placed[best] = True
         for w in adj[best]:
             if not placed[w]:
-                heappush(frontier, (len(candidates[w]), w))
+                heappush(frontier, (sizes[w], w))
     return order
 
 
@@ -135,19 +136,19 @@ def are_isomorphic(
         return None
     colors1, colors2 = refined
 
-    cells: dict[int, list[int]] = {}
+    cells: dict[int, int] = {}  # node mask of each color class of g2
     for w in range(n):
-        cells.setdefault(colors2[w], []).append(w)
-    candidates = [cells.get(colors1[v], []) for v in range(n)]
-    if any(not c for c in candidates):
+        cells[colors2[w]] = cells.get(colors2[w], 0) | 1 << w
+    candidates = [cells.get(colors1[v], 0) for v in range(n)]
+    if not all(candidates):
         return None
-    order = _processing_order(adj1, candidates)
+    order = _processing_order(adj1, [c.bit_count() for c in candidates])
 
     masks2 = g2.adjacency_masks
     mapping = [-1] * n
     need = [0] * n
     image = 0
-    cursor = [0] * n  # next candidate index to try at each depth
+    start = [0] * n  # candidates below this node are already tried at each depth
     idx = 0
     while 0 <= idx < n:
         v = order[idx]
@@ -157,19 +158,18 @@ def are_isomorphic(
             for u in adj1[v]:
                 need[u] ^= bit
             mapping[v] = -1
-        cands = candidates[v]
-        k = cursor[idx]
-        while k < len(cands):
-            w = cands[k]
-            k += 1
-            bit = 1 << w
-            if not image & bit and masks2[w] & image == need[v]:
+        rest = candidates[v] & ~image & (-1 << start[idx])
+        while rest:
+            bit = rest & -rest
+            w = bit.bit_length() - 1
+            if masks2[w] & image == need[v]:
                 break
+            rest ^= bit
         else:  # no candidate left for v: backtrack
-            cursor[idx] = 0
+            start[idx] = 0
             idx -= 1
             continue
-        cursor[idx] = k
+        start[idx] = w + 1
         mapping[v] = w
         image |= bit
         for u in adj1[v]:

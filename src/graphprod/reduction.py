@@ -25,7 +25,6 @@ True iff it is composite under the direct product.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,38 +122,14 @@ def div2div3_offset(t: int) -> int:
     return _OFFSET_TABLE[(t % 2, t % 3)]
 
 
-_sieve_primes: list[int] = []
-_sieve_limit = 0
-
-
-def _primes_up_to(limit: int) -> list[int]:
-    global _sieve_primes, _sieve_limit
-    if limit > _sieve_limit:
-        size = max(limit, 2 * _sieve_limit, 1024)
-        mark = bytearray([1]) * (size + 1)
-        mark[0] = mark[1] = 0
-        for p in range(2, int(size**0.5) + 1):
-            if mark[p]:
-                mark[p * p :: p] = bytearray(len(mark[p * p :: p]))
-        _sieve_primes = [i for i, keep in enumerate(mark) if keep]
-        _sieve_limit = size
-    return _sieve_primes
-
-
 def prime_in_bertrand_range(n: int) -> int:
     """Smallest prime p with 2n < p < 4n (exists for every n >= 2)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    primes = _primes_up_to(4 * n)
-    idx = bisect_right(primes, 2 * n)
-    if idx >= len(primes) or primes[idx] >= 4 * n:  # pragma: no cover
-        raise AssertionError(f"no prime strictly between {2 * n} and {4 * n}")
-    return primes[idx]
-
-
-def _primes_in_open_range(lo: int, hi: int) -> list[int]:
-    primes = _primes_up_to(hi)
-    return [p for p in primes[bisect_right(primes, lo) :] if p < hi]
+    for p in range(2 * n + 1, 4 * n):
+        if is_prime_int(p):
+            return p
+    raise InternalError(f"no prime strictly between {2 * n} and {4 * n}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -191,16 +166,13 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
         raise PreconditionError("padding is defined for connected graphs only")
     m = g.edge_count
     s = g.loop_count
-    chosen = None
-    for p in _primes_in_open_range(2 * n, 4 * n):
+    for p in filter(is_prime_int, range(2 * n + 1, 4 * n)):
         base_total = 2 * (m + p) - s  # 2m - s after fan and cycle edges
         d = div2div3_offset(base_total)
         if p - n >= d + 1:
-            chosen = (p, d)
             break
-    if chosen is None:
+    else:
         raise InternalError(f"no admissible prime between {2 * n} and {4 * n}")
-    p, d = chosen
     fan = tuple((x, n) for x in range(n))
     cycle = tuple((n + i, n + i + 1) for i in range(p - n - 1)) + ((n, p - 1),)
     loops = tuple((n + i, n + i) for i in range(1, d + 1))

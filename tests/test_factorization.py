@@ -13,6 +13,7 @@ import pytest
 
 from graphprod import (
     D2,
+    FactorizationWitness,
     Graph,
     PreconditionError,
     SizeLimitError,
@@ -35,14 +36,15 @@ from graphprod import (
     witness_is_valid,
     witness_to_json,
 )
+from graphprod.core import bits
 from graphprod.factorization import (
     I2_MATRIX,
     _FactorSearch,
     _GraphView,
     _check_fixed_a,
-    _counts,
-    _symmetric_matrices,
-    _symmetry,
+    _left_factor,
+    _left_factors,
+    _permuters,
 )
 from graphprod.isomorphism import IsomorphismWitness
 from graphprod.catalog import (
@@ -131,6 +133,19 @@ def test_witness_json_shape():
     assert out["a_order"] == 2 and out["b_order"] == 5
     assert len(out["labeling"]) == 10
     assert all(len(pair) == 2 for pair in out["labeling"])
+
+
+def test_witness_rejects_labels_outside_the_factor_orders():
+    # both labelings send r * b + c onto a permutation of range(6), but their
+    # pairs fall outside range(2) x range(3)
+    g = direct_product(K2, C3)
+    valid = tuple((r, c) for r in range(2) for c in range(3))
+    assert witness_is_valid(g, FactorizationWitness(K2, C3, valid))
+    for labeling in (
+        tuple((0, v) for v in range(6)),
+        tuple((1, v - 3) for v in range(6)),
+    ):
+        assert not witness_is_valid(g, FactorizationWitness(K2, C3, labeling)), labeling
 
 
 def test_argument_and_size_errors():
@@ -227,26 +242,63 @@ def test_golden_witnesses_are_unchanged():
 # -- left factors up to isomorphism --------------------------------------------
 
 
+def _symmetric_matrices(a):
+    """Every symmetric 0/1 a-by-a matrix, in ascending bitmask order.
+
+    Bit k of the bitmask is the k-th upper-triangle cell, row by row.
+    """
+    upper = [(i, j) for i in range(a) for j in range(i, a)]
+    out = []
+    for mask in range(1 << len(upper)):
+        mat = [[0] * a for _ in range(a)]
+        for bit, (i, j) in enumerate(upper):
+            if mask >> bit & 1:
+                mat[i][j] = mat[j][i] = 1
+        out.append(tuple(map(tuple, mat)))
+    return out
+
+
+def _class_masks(mat):
+    """Bitmasks of every P M P^T, one per a-by-a permutation matrix P (numpy)."""
+    a = len(mat)
+    perms = np.array([np.eye(a, dtype=np.int64)[list(p)] for p in permutations(range(a))])
+    images = perms @ np.array(mat, dtype=np.int64) @ perms.transpose(0, 2, 1)
+    rows, cols = np.triu_indices(a)
+    return images[:, rows, cols] @ (1 << np.arange(len(rows), dtype=np.int64)), perms
+
+
 @pytest.mark.parametrize("a, classes", [(2, 6), (3, 20), (4, 90)])
 def test_one_left_factor_per_isomorphism_class(a, classes):
-    # brute force: canonical form of M is the smallest P M P^T over all a!
-    # permutation matrices P; its automorphisms are the P with P M P^T == M
-    perms = [np.eye(a, dtype=int)[list(p)] for p in permutations(range(a))]
-    seen = set()
-    for mat in _symmetric_matrices(a):
-        m = np.array(mat)
-        images = [p @ m @ p.T for p in perms]
-        canon = min(tuple(x.ravel()) for x in images)
-        smallest, first_rows = _symmetry(mat)
-        if smallest:
-            assert canon not in seen
-            seen.add(canon)
+    # brute force: the class of M is every P M P^T over all a! permutation
+    # matrices P, its canonical form the smallest bitmask among them, and its
+    # automorphisms the P with P M P^T == M
+    first = {}  # canonical form -> first matrix of that class, in bitmask order
+    for mask, mat in enumerate(_symmetric_matrices(a)):
+        masks, perms = _class_masks(mat)
+        first.setdefault(int(masks.min()), mat)
+        record, orbit = _left_factor(mat, _permuters(a))
+        assert record.cells == mat, mat
+        assert {int("".join(map(str, key)), 2) for key in orbit} == set(masks.tolist()), mat
         orbit_min = [
-            min(int(np.argmax(p[:, r])) for p, x in zip(perms, images) if (x == m).all())
+            min(int(np.argmax(p[:, r])) for p, m in zip(perms, masks) if m == mask)
             for r in range(a)
         ]
-        assert first_rows == tuple(sorted(set(orbit_min)))
-    assert len(seen) == classes
+        assert record.first_rows == tuple(sorted(set(orbit_min))), mat
+    records = _left_factors(a)
+    assert len(records) == classes
+    assert [record.cells for record in records] == list(first.values())
+    assert list(records) == [_left_factor(r.cells, _permuters(a))[0] for r in records]
+
+
+def test_left_factors_of_order_5_are_the_544_class_minima():
+    # OEIS A000666: 544 graphs with loops allowed on 5 nodes
+    records = _left_factors(5)
+    assert len(records) == 544
+    index = {mat: mask for mask, mat in enumerate(_symmetric_matrices(5))}
+    masks = [index[record.cells] for record in records]
+    assert masks == sorted(set(masks))
+    for record, mask in zip(records, masks):
+        assert int(_class_masks(record.cells)[0].min()) == mask, record.cells
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])
@@ -254,12 +306,18 @@ def test_per_matrix_counts_match_the_graph_of_each_matrix(a):
     for mat in _symmetric_matrices(a):
         edges = frozenset((i, j) for i in range(a) for j in range(i, a) if mat[i][j])
         g = Graph(a, edges)
-        assert _counts(mat) == (
+        left = _left_factor(mat, _permuters(a))[0]
+        assert (left.nonzeros, left.loops, left.zero_rows, left.bipartite) == (
             g.nonzero_count,
             g.loop_count,
             sum(1 for row in mat if not any(row)),
             is_bipartite(g),
         ), mat
+        masks = g.adjacency_masks
+        assert left.rowsums == tuple(m.bit_count() for m in masks), mat
+        assert left.linked == tuple(tuple(bits(m)) for m in masks), mat
+        full = (1 << a) - 1
+        assert left.unlinked == tuple(tuple(bits(full & ~m)) for m in masks), mat
 
 
 # -- fixed_a validation: the table pins the results of numpy.asarray parsing ----
@@ -353,7 +411,8 @@ def test_search_matches_every_exact_left_factor_in_order():
             b = n // a
             expect = None
             for mat in _symmetric_matrices(a):
-                expect = _FactorSearch(view, a, b, mat, tuple(range(a))).run()
+                plain = _left_factor(mat, _permuters(a))[0]._replace(first_rows=tuple(range(a)))
+                expect = _FactorSearch(view, b, plain).run()
                 assert factor_search(g, a, b, fixed_a=mat) == expect, (g, mat)
                 if expect is not None:
                     break
@@ -456,6 +515,28 @@ def test_forward_rejects_bad_inputs():
             disjoint_union(K2, K2),
             IsomorphismWitness((0, 1, 2, 3)),
         )
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (
+            lambda g1, g2: factorization_from_isomorphism(
+                g1, g2, IsomorphismWitness(tuple(range(g1.node_count)))
+            ),
+            "doubling factorization",
+        ),
+        (isomorphism_from_union_factorization, "union factorization"),
+    ],
+)
+def test_union_preconditions_keep_their_messages(call, what):
+    with pytest.raises(ValueError, match="^graphs must have equal order$"):
+        call(C3, C4)
+    with pytest.raises(ValueError, match=f"^{what} needs order at least 2$"):
+        call(L1, L1)
+    two = disjoint_union(K2, K2)
+    with pytest.raises(PreconditionError, match="^both graphs must be connected$"):
+        call(two, two)
 
 
 # -- isomorphism from a doubling factorization (reverse direction) ------------
@@ -680,6 +761,12 @@ def test_witness_reverification_raises_under_python_O():
 def test_internal_checks_raise_under_python_O():
     # one check in union_compositeness_by_elimination, one in pad_to_class_g
     assert _run_under_python_O(_CHECKS_UNDER_O) == ["InternalError"] * 2
+
+
+def test_no_left_factor_table_is_built_at_import():
+    script = "import graphprod.cli, graphprod.factorization as fz\n"
+    script += "print(fz._left_factors.cache_info().currsize)"
+    assert _run_under_python_O(script) == ["0"]
 
 
 def test_identity_factor_never_claimed():
