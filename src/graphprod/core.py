@@ -359,8 +359,16 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    """Parse an edge-list file; bytes that are not UTF-8 raise :class:`EdgeListParseError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number lines as parse_edge_list does; the bytes before exc.start decode.
+        line = len((data[: exc.start] + b"x").decode("utf-8").splitlines())
+        raise EdgeListParseError(f"not UTF-8 text (byte {exc.start})", line) from None
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -1,37 +1,61 @@
-"""Exact graph isomorphism by refinement-guided backtracking.
+"""Exact graph isomorphism by individualisation-refinement backtracking.
 
-This is a desk-scale decision procedure, not a canonical-labelling engine.
-Nodes are first partitioned by iterated neighborhood refinement (degree and
-loop status seeded, then neighbor-color multisets to a fixed point); the
-backtracker then maps nodes of the first graph onto same-color candidates of
-the second.
+This is a desk-scale decision procedure, not a canonical-labelling engine:
+refinement is used only to prune (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60, 2014).
 
-The backtracker works on :attr:`Graph.adjacency_masks`, the rows of the
-adjacency matrix as int bitmasks.  It keeps ``image``, the mask of nodes of
-the second graph already used, and for every node v of the first graph
-``need[v]``, the mask of the images of v's mapped neighbours.  A candidate w
-fits v iff w is not in ``image`` and ``masks2[w] & image == need[v]``: the
-edges from w to the mapped nodes are exactly the images of the edges from v,
-checked in O(1) big-int operations (the bit-parallel candidate filtering of
-VF2, Cordella et al., IEEE TPAMI 2004).  Placing v at w XORs bit w into
-``need[u]`` for each neighbour u of v, and the undo is the same XOR.  Each
-refinement cell is a node bitmask, so a depth's untried candidates are
-``cell & ~image`` above its cursor; the cursors form an explicit stack, so
-the depth is not bounded by Python's recursion limit.
+Both graphs share one ordered partition of their nodes.  Cell c holds the
+nodes ``members1[c]`` of the first graph and ``members2[c]`` of the second,
+as bitmasks over :attr:`Graph.adjacency_masks` node numbers, and the two
+parts always have the same size.
 
-Candidates are tried in ascending node order inside each refinement cell and
-the node processing order is itself deterministic, so a successful search
-always returns the same witness for the same inputs.
+Refinement makes the partition equitable: every node of a cell has the same
+number of neighbours in each cell, in both graphs.  It runs from a queue of
+splitter cells.  Splitting by cell S counts, for the neighbours of S's nodes
+only, how many neighbours each has in S, and splits each touched cell by
+that count, in both graphs at once.  If some count's fragment differs in
+size between the graphs, no isomorphism respects the partition and
+refinement reports divergence.  Of a cell's fragments the largest keeps the
+cell and the others are queued as new cells; the largest need not be, since
+its counts are the whole cell's minus the others' (Hopcroft's rule, as in
+McKay, Congr. Numer. 30, 1981).  The same routine computes the initial
+partition, seeded by (degree, loop) with every cell queued: the coarsest
+equitable one, which round-based colour refinement (1-WL) reaches too.
+
+The backtracker maps the nodes of the first graph in a fixed
+most-constrained-first order (from the initial cell sizes).  Placing v at w
+individualises them: both move to one fresh cell, which is the only splitter
+queued, and refinement runs again.  If it diverges the branch is pruned;
+otherwise the next node's candidates are the second-graph members of its
+refined cell, tried in ascending order from a per-depth cursor.  A node
+whose cell is already a singleton (every node, once the partition is
+discrete) is placed without refining.  When every node is placed the
+partition is discrete and equitable, so the cells pair the nodes by an
+isomorphism; :func:`is_isomorphism` re-verifies it anyway.
+
+Every cell split off is pushed on a trail, as the number of the cell it
+came from, and backtracking pops the trail down to the depth's mark, merging
+each back; no depth copies the partition, and the cursors form an explicit
+stack, so the depth is not bounded by Python's recursion limit.
+
+The witness does not depend on the prune.  Refinement decides every split
+from counts and cell numbers alone, so an isomorphism that carries each cell
+of the first graph onto the same cell of the second still does after each
+split, and after placing v at w if it maps v to w.  Pruning a divergent
+branch and skipping candidates outside the refined cell therefore remove
+only partial maps that no isomorphism extends.  With the node order and the
+in-cell candidate order fixed, the search returns the same first
+isomorphism as a backtracker that checks edges alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .core import Graph, InternalError, SizeLimitError, neighbor_lists, relabel
+from .core import Graph, InternalError, SizeLimitError, bits, neighbor_lists, relabel
 
 DEFAULT_NODE_LIMIT = 16
 
@@ -52,33 +76,140 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     return relabel(g1, list(mapping)).edges == g2.edges
 
 
-def _recolor(sig1: list, sig2: list) -> tuple[list[int], list[int]]:
-    """Number the signatures of both graphs jointly, in sorted order."""
-    palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
-    return [palette[s] for s in sig1], [palette[s] for s in sig2]
+class _Partition:
+    """One ordered partition of the nodes of two graphs, refined jointly.
+
+    Cell c holds the nodes ``members1[c]`` of the first graph and
+    ``members2[c]`` of the second, as bitmasks; ``cell1`` / ``cell2`` give
+    each node's cell.  A split appends new cells at the end; ``trail``
+    holds the cell each of them came from, in order, so :meth:`undo` can
+    merge the last ones back.
+    """
+
+    def __init__(self, adj1, adj2, cell1, cell2, members1, members2):
+        self.adj1, self.adj2 = adj1, adj2
+        self.cell1, self.cell2 = cell1, cell2
+        self.members1, self.members2 = members1, members2
+        self.trail: list[int] = []
+
+    def refine(self, queue: deque[int]) -> bool:
+        """Split by the queued cells until equitable; False on divergence."""
+        members1, members2 = self.members1, self.members2
+        while queue:
+            s = queue.popleft()
+            split1, split2 = members1[s], members2[s]
+            touched1 = _fragments(split1, self.adj1, self.cell1)
+            touched2 = _fragments(split2, self.adj2, self.cell2)
+            if touched1.keys() != touched2.keys():
+                return False
+            for c, by1 in touched1.items():
+                by2 = touched2[c]
+                if len(by1) != len(by2):
+                    return False
+                rest1, rest2 = members1[c], members2[c]
+                for k, part in by1.items():
+                    if by2.get(k, 0).bit_count() != part.bit_count():
+                        return False
+                    rest1 ^= part
+                    rest2 ^= by2[k]
+                if len(by1) == 1 and not rest1:
+                    continue  # every node of c has the same count: no split
+                pieces = [(rest1, rest2)] if rest1 else []
+                self._split(c, pieces + [(by1[k], by2[k]) for k in sorted(by1)], queue)
+        return True
+
+    def _split(self, c: int, pieces: list[tuple[int, int]], queue: deque[int]) -> None:
+        """Split cell c into ``pieces``, in count order, and queue the new cells.
+
+        The largest piece (the first of equal size) keeps c; the others need
+        to be splitters and it does not, since its counts are those of all
+        of c minus theirs (Hopcroft's rule).
+        """
+        keep = max(pieces, key=lambda piece: piece[0].bit_count())
+        self.members1[c], self.members2[c] = keep
+        for piece in pieces:
+            if piece is keep:
+                continue
+            part1, part2 = piece
+            d = len(self.members1)
+            self.members1.append(part1)
+            self.members2.append(part2)
+            for x in bits(part1):
+                self.cell1[x] = d
+            for y in bits(part2):
+                self.cell2[y] = d
+            self.trail.append(c)
+            queue.append(d)
+
+    def place(self, v: int, w: int) -> bool:
+        """Individualise v and w (in the same cell) and refine; False on divergence."""
+        c = self.cell1[v]
+        if self.members1[c] == 1 << v:  # already a singleton: stays equitable
+            return True
+        queue: deque[int] = deque()
+        rest = (self.members1[c] ^ 1 << v, self.members2[c] ^ 1 << w)
+        self._split(c, [rest, (1 << v, 1 << w)], queue)
+        return self.refine(queue)
+
+    def undo(self, mark: int) -> None:
+        """Merge every split made after the trail had ``mark`` entries."""
+        trail = self.trail
+        while len(trail) > mark:
+            c = trail.pop()
+            part1, part2 = self.members1.pop(), self.members2.pop()
+            self.members1[c] |= part1
+            self.members2[c] |= part2
+            for x in bits(part1):
+                self.cell1[x] = c
+            for y in bits(part2):
+                self.cell2[y] = c
 
 
-def _refine(
+def _fragments(splitter: int, adj: list[list[int]], cell: list[int]) -> dict[int, dict[int, int]]:
+    """For each cell touched by the neighbours of ``splitter``: count -> node mask.
+
+    The count of a node is its number of neighbours in ``splitter``; nodes
+    of a touched cell missing from its dict have none.
+    """
+    count: dict[int, int] = {}
+    while splitter:
+        low = splitter & -splitter
+        for x in adj[low.bit_length() - 1]:
+            count[x] = count.get(x, 0) + 1
+        splitter ^= low
+    touched: dict[int, dict[int, int]] = {}
+    for x, k in count.items():
+        by = touched.get(cell[x])
+        if by is None:
+            touched[cell[x]] = {k: 1 << x}
+        else:
+            by[k] = by.get(k, 0) | 1 << x
+    return touched
+
+
+def _equitable_partition(
     g1: Graph, g2: Graph, adj1: list[list[int]], adj2: list[list[int]]
-) -> tuple[list[int], list[int]] | None:
-    """Joint color refinement; None if the color histograms ever diverge."""
-    n = g1.node_count
-    colors1, colors2 = _recolor(
-        [(len(adj1[v]), (v, v) in g1.edges) for v in range(n)],
-        [(len(adj2[v]), (v, v) in g2.edges) for v in range(n)],
-    )
-    # each round either splits a color class or reaches the fixed point
-    while Counter(colors1) == Counter(colors2):
-        if len(set(colors1)) == n:
-            return colors1, colors2
-        new1, new2 = _recolor(
-            [(colors1[v], tuple(sorted(colors1[w] for w in adj1[v]))) for v in range(n)],
-            [(colors2[v], tuple(sorted(colors2[w] for w in adj2[v]))) for v in range(n)],
-        )
-        if new1 == colors1 and new2 == colors2:
-            return colors1, colors2
-        colors1, colors2 = new1, new2
-    return None
+) -> _Partition | None:
+    """The joint equitable partition seeded by (degree, loop); None on divergence."""
+    key1 = [(len(nbrs), (v, v) in g1.edges) for v, nbrs in enumerate(adj1)]
+    key2 = [(len(nbrs), (v, v) in g2.edges) for v, nbrs in enumerate(adj2)]
+    if Counter(key1) != Counter(key2):
+        return None
+    palette = {key: c for c, key in enumerate(sorted(set(key1)))}
+    cell1 = [palette[key] for key in key1]
+    cell2 = [palette[key] for key in key2]
+    members1 = [0] * len(palette)
+    members2 = [0] * len(palette)
+    for v, c in enumerate(cell1):
+        members1[c] |= 1 << v
+    for w, c in enumerate(cell2):
+        members2[c] |= 1 << w
+    part = _Partition(adj1, adj2, cell1, cell2, members1, members2)
+    # the degree seed is the split by the whole node set: skip its largest cell
+    sizes = [m.bit_count() for m in members1]
+    largest = sizes.index(max(sizes))
+    queue = deque(c for c in range(len(sizes)) if c != largest)
+    return part if part.refine(queue) else None
 
 
 def _processing_order(adj: list[list[int]], sizes: list[int]) -> list[int]:
@@ -131,39 +262,29 @@ def are_isomorphic(
         return None
 
     adj1 = neighbor_lists(g1)
-    refined = _refine(g1, g2, adj1, neighbor_lists(g2))
-    if refined is None:
+    part = _equitable_partition(g1, g2, adj1, neighbor_lists(g2))
+    if part is None:
         return None
-    colors1, colors2 = refined
+    cell1, members1, members2 = part.cell1, part.members1, part.members2
+    order = _processing_order(adj1, [members1[cell1[v]].bit_count() for v in range(n)])
 
-    cells: dict[int, int] = {}  # node mask of each color class of g2
-    for w in range(n):
-        cells[colors2[w]] = cells.get(colors2[w], 0) | 1 << w
-    candidates = [cells.get(colors1[v], 0) for v in range(n)]
-    if not all(candidates):
-        return None
-    order = _processing_order(adj1, [c.bit_count() for c in candidates])
-
-    masks2 = g2.adjacency_masks
     mapping = [-1] * n
-    need = [0] * n
-    image = 0
     start = [0] * n  # candidates below this node are already tried at each depth
+    mark = [0] * n  # trail length when each depth was entered
     idx = 0
     while 0 <= idx < n:
         v = order[idx]
         if mapping[v] >= 0:  # back at v: take its placement back
-            bit = 1 << mapping[v]
-            image ^= bit
-            for u in adj1[v]:
-                need[u] ^= bit
+            part.undo(mark[idx])
             mapping[v] = -1
-        rest = candidates[v] & ~image & (-1 << start[idx])
+        mark[idx] = len(part.trail)
+        rest = members2[cell1[v]] & (-1 << start[idx])
         while rest:
             bit = rest & -rest
             w = bit.bit_length() - 1
-            if masks2[w] & image == need[v]:
+            if part.place(v, w):
                 break
+            part.undo(mark[idx])
             rest ^= bit
         else:  # no candidate left for v: backtrack
             start[idx] = 0
@@ -171,9 +292,6 @@ def are_isomorphic(
             continue
         start[idx] = w + 1
         mapping[v] = w
-        image |= bit
-        for u in adj1[v]:
-            need[u] ^= bit
         idx += 1
     if idx < 0:
         return None

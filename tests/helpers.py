@@ -8,9 +8,11 @@ the library implementations are checked against a second route.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations
 
 from graphprod import Graph, are_isomorphic, direct_product, disjoint_union, relabel
+from graphprod.core import neighbor_lists
 from graphprod.reduction import class_g_check
 
 # -- enumeration --------------------------------------------------------------
@@ -122,6 +124,39 @@ def naive_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     for perm in permutations(range(g1.node_count)):
         if relabel(g1, perm).edges == g2.edges:
             return perm
+    return None
+
+
+def _recolor(sig1: list, sig2: list) -> tuple[list[int], list[int]]:
+    """Number the signatures of both graphs jointly, in sorted order."""
+    palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
+    return [palette[s] for s in sig1], [palette[s] for s in sig2]
+
+
+def color_refinement(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
+    """Joint round-based color refinement (1-WL); None if the histograms diverge.
+
+    Seeded by (degree, loop); each round recolors every node by its color and
+    the sorted colors of its neighbours, numbered jointly over both graphs,
+    until no class splits.  This is the refinement the isomorphism search
+    used before its splitter queue, except that it always runs to the fixed
+    point: that engine returned as soon as the first graph's coloring was
+    discrete, without the last round that can still tell the graphs apart.
+    """
+    adj1, adj2 = neighbor_lists(g1), neighbor_lists(g2)
+    colors1, colors2 = _recolor(
+        [(len(adj1[v]), (v, v) in g1.edges) for v in range(g1.node_count)],
+        [(len(adj2[v]), (v, v) in g2.edges) for v in range(g2.node_count)],
+    )
+    # each round either splits a color class or reaches the fixed point
+    while Counter(colors1) == Counter(colors2):
+        new1, new2 = _recolor(
+            [(c, tuple(sorted(colors1[w] for w in adj1[v]))) for v, c in enumerate(colors1)],
+            [(c, tuple(sorted(colors2[w] for w in adj2[v]))) for v, c in enumerate(colors2)],
+        )
+        if new1 == colors1 and new2 == colors2:
+            return colors1, colors2
+        colors1, colors2 = new1, new2
     return None
 
 

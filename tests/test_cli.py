@@ -110,6 +110,37 @@ def test_product_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_product_with_an_empty_factor_exit_4(tmp_path, capsys):
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    code, out, err = run(capsys, "product", "--kind", "direct", "--json", path("k2"), str(empty))
+    assert code == 4
+    assert err == "error: graph products require nonempty factors\n"
+    report = json.loads(out)
+    assert report["command"] == "product" and report["exit_code"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("product", "--kind", "direct"),
+        ("factor",),
+        ("iso", "--mode", "direct"),
+        ("iso", "--mode", "reduction"),
+        ("classg",),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"2 1\n0 1\n\xff\xfe\x00")
+    files = [str(bad)] if argv[0] in ("factor", "classg") else [path("k2"), str(bad)]
+    code, out, err = run(capsys, argv[0], "--json", *argv[1:], *files)
+    assert code == 2
+    assert err == "error: line 3: not UTF-8 text (byte 8)\n"
+    report = json.loads(out)
+    assert report["command"] == argv[0] and report["exit_code"] == 2
+
+
 def test_product_size_bound_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("GRAPHPROD_MAX_NODES", "8")
     code, _, err = run(capsys, "product", "--kind", "direct", path("c5"), path("k2"))
@@ -240,6 +271,16 @@ def test_iso_direct_env_bound_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("GRAPHPROD_MAX_NODES", "4")
     code, _, err = run(capsys, "iso", "--mode", "direct", path("c5"), path("c5"))
     assert code == 3
+
+
+def test_iso_direct_on_an_empty_graph_exit_4(tmp_path, capsys):
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    code, out, err = run(capsys, "iso", "--mode", "direct", "--json", str(empty), str(empty))
+    assert code == 4
+    assert err == "error: isomorphism is undefined for the empty graph\n"
+    report = json.loads(out)
+    assert report["command"] == "iso" and report["exit_code"] == 4
 
 
 def test_iso_direct_on_a_1200_leaf_star(tmp_path, capsys):

@@ -22,6 +22,7 @@ from graphprod import (
     SizeLimitError,
     parse_edge_list,
     products,
+    read_edge_list,
     relabel,
 )
 from graphprod.core import MAX_HEADER_NODES
@@ -229,3 +230,20 @@ def test_parse_rejects_a_header_above_the_node_ceiling():
         with pytest.raises(SizeLimitError, match="ceiling"):
             parse_edge_list(text)
     assert parse_edge_list(f"{MAX_HEADER_NODES} 0\n").node_count == MAX_HEADER_NODES
+
+
+def test_read_rejects_bytes_that_are_not_utf8(tmp_path):
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"3 1\n# caf\xe9\n0 1\n")
+    with pytest.raises(EdgeListParseError, match="line 2: not UTF-8 text"):
+        read_edge_list(bad)
+    # Lines are numbered as parse_edge_list numbers them: a lone \r or a
+    # form feed ends a line too.
+    for data in (b"3 1\r# a\r0 1\r#\r# caf\xe9\r", b"3 1\n# \x0c0 1\n#\n# caf\xe9\n"):
+        bad.write_bytes(data)
+        assert len(data[:-2].decode().splitlines()) == 5
+        with pytest.raises(EdgeListParseError, match="line 5: not UTF-8 text"):
+            read_edge_list(bad)
+    good = tmp_path / "good.el"
+    good.write_bytes("3 1\n# café\r\n0 1\n".encode())
+    assert read_edge_list(good) == Graph(3, frozenset({(0, 1)}))

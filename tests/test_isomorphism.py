@@ -2,14 +2,18 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from graphprod import Graph, SizeLimitError, are_isomorphic, is_isomorphism, relabel
 from graphprod.catalog import C3, C5, K1_4, NAMED, P3_END_LOOP, P3_MID_LOOP, star_graph
+from graphprod.core import neighbor_lists
+from graphprod.isomorphism import _equitable_partition
 
 from helpers import (
     all_graphs,
+    color_refinement,
     double_edge_swap,
     naive_isomorphic,
     random_cubic_graph,
@@ -152,15 +156,24 @@ def test_agreement_with_networkx_vf2_beyond_naive_reach():
         g = random_sparse_connected_graph(40, rng)
         pairs.append((g, random_relabeling(g, rng)))
         pairs.append((g, random_relabeling(double_edge_swap(g, rng), rng)))
+    # 40-60-node cubic pairs: seconds each for a backtracker without the
+    # refinement prune; VF2++ decides them where plain VF2 can take seconds
+    decide = {}
+    for n in range(40, 61, 4):
+        g = random_cubic_graph(n, rng)
+        other = random_cubic_graph(n, rng)
+        for g2 in (random_relabeling(g, rng), random_relabeling(other, rng)):
+            pairs.append((g, g2))
+            decide[len(pairs) - 1] = getattr(nx, "vf2pp_is_isomorphic", nx.is_isomorphic)
     answers = set()
-    for g1, g2 in pairs:
+    for k, (g1, g2) in enumerate(pairs):
         got = are_isomorphic(g1, g2, node_limit=None)
-        want = nx.is_isomorphic(_networkx_graph(nx, g1), _networkx_graph(nx, g2))
+        want = decide.get(k, nx.is_isomorphic)(_networkx_graph(nx, g1), _networkx_graph(nx, g2))
         assert (got is not None) == want
         if got is not None:
             assert is_isomorphism(g1, g2, got.mapping)
-        answers.add(want)
-    assert answers == {True, False}
+        answers.add((k in decide, want))
+    assert answers == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_deep_search_does_not_recurse():
@@ -169,6 +182,76 @@ def test_deep_search_does_not_recurse():
     moved = relabel(star, list(range(1, 1201)) + [0])
     w = are_isomorphic(star, moved, node_limit=None)
     assert w is not None and is_isomorphism(star, moved, w.mapping)
+
+
+def test_star_search_keeps_no_partition_per_depth():
+    # placements are undone from a trail; a copy of the partition per depth
+    # of this 2401-level search would take about 100 MB
+    star = star_graph(2400)
+    moved = relabel(star, list(range(1, 2401)) + [0])
+    tracemalloc.start()
+    try:
+        w = are_isomorphic(star, moved, node_limit=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and is_isomorphism(star, moved, w.mapping)
+    assert peak < 4_000_000
+
+
+def _refinement_pairs():
+    """Seeded pairs for the refinement differential test.
+
+    Random graphs with loops against a relabelling, an edge swap and an
+    unrelated graph of the same order; 20-60-node cubic and 40-128-node
+    sparse graphs against a relabelling and a relabelled edge swap (and,
+    for cubic graphs, another cubic graph); every ordered pair of corpus
+    graphs.
+    """
+    rng = random.Random(1981)
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        g = random_graph(n, rng, edge_p=rng.uniform(0.1, 0.7), loop_p=rng.uniform(0, 0.6))
+        yield g, random_relabeling(g, rng)
+        yield g, random_relabeling(double_edge_swap(g, rng), rng)
+        yield g, random_graph(n, rng, edge_p=rng.uniform(0.1, 0.7), loop_p=rng.uniform(0, 0.6))
+    for n in range(20, 61, 4):
+        g = random_cubic_graph(n, rng)
+        yield g, random_relabeling(g, rng)
+        yield g, random_relabeling(double_edge_swap(g, rng), rng)
+        yield g, random_relabeling(random_cubic_graph(n, rng), rng)
+    for n in (40, 64, 96, 128) * 3:
+        g = random_sparse_connected_graph(n, rng)
+        yield g, random_relabeling(g, rng)
+        yield g, random_relabeling(double_edge_swap(g, rng), rng)
+    graphs = [g for _, g in sorted(NAMED.items()) if g.node_count > 0]
+    for g1 in graphs:
+        for g2 in graphs:
+            yield g1, g2
+
+
+def _joint_cells(colors1, colors2):
+    """Each color class as (nodes of the first graph, nodes of the second)."""
+    cells = {}
+    for which, colors in enumerate((colors1, colors2)):
+        for v, c in enumerate(colors):
+            cells.setdefault(c, (set(), set()))[which].add(v)
+    return {(frozenset(a), frozenset(b)) for a, b in cells.values()}
+
+
+def test_initial_refinement_matches_round_based_color_refinement():
+    outcomes = set()
+    for g1, g2 in _refinement_pairs():
+        want = color_refinement(g1, g2)
+        got = _equitable_partition(g1, g2, neighbor_lists(g1), neighbor_lists(g2))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _joint_cells(got.cell1, got.cell2) == _joint_cells(*want)
+            for cells, members in ((got.cell1, got.members1), (got.cell2, got.members2)):
+                assert [sum(1 << v for v, c in enumerate(cells) if c == d)
+                        for d in range(len(members))] == members
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_mismatched_counts_fail_fast():
