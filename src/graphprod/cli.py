@@ -116,8 +116,6 @@ def _emit(args, inputs: list[str], outcome, human_lines: list[str], started: flo
 def _cmd_product(args, started: float) -> int:
     g1 = read_edge_list(args.file1)
     g2 = read_edge_list(args.file2)
-    if g1.node_count == 0 or g2.node_count == 0:
-        raise PreconditionError("graph products require nonempty factors")
     # capped at the header ceiling, so graphprod can read back what it writes
     limit = min(_env_limit() or products.DEFAULT_NODE_LIMIT, MAX_HEADER_NODES)
     result = product(ProductKind(args.kind), g1, g2, node_limit=limit)
@@ -167,8 +165,6 @@ def _cmd_iso(args, started: float) -> int:
     inputs = [args.file1, args.file2]
     env = _env_limit()
     if args.mode == "direct":
-        if g1.node_count == 0 or g2.node_count == 0:
-            raise PreconditionError("isomorphism is undefined for the empty graph")
         biggest = max(g1.node_count, g2.node_count)
         if env is not None:
             if biggest > env:

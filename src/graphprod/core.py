@@ -51,11 +51,13 @@ class InternalError(GraphProdError):
     """A result failed its own re-verification: a bug in this package."""
 
 
-class PreconditionError(GraphProdError):
+class PreconditionError(GraphProdError, ValueError):
     """An operation's stated precondition does not hold for the input.
 
-    ``report`` optionally carries a structured explanation (for instance a
-    class membership report).
+    It is also a ``ValueError``, so callers that catch ``ValueError`` for
+    bad input (an empty graph handed to a product or to the isomorphism
+    search, say) keep working.  ``report`` optionally carries a structured
+    explanation (for instance a class membership report).
     """
 
     def __init__(self, message: str, report=None):

@@ -53,6 +53,16 @@ complete, so they never change which witness is found first:
 
 Vertices are placed component by component in breadth-first order.
 
+:func:`find_factorization` builds the per-graph data and tests
+bipartiteness once for all its divisor splits.  Before the first split it
+asks :func:`graphprod.skeleton.certifies_prime` for a polynomial proof of
+primality, from the Cartesian skeleton of g, when g is connected,
+nonbipartite and R-thin (no two vertices share a neighbourhood).  The
+certificate is sound (the argument is in that module), so it only prunes:
+a certified graph has no witness to miss, and any other graph is searched
+exactly as before, so no witness changes.  Twins, bipartite and
+disconnected inputs, and every :func:`factor_search` call, always search.
+
 Searches are deterministic: identical inputs explore candidates in the same
 order and return identical witnesses.
 """
@@ -85,6 +95,7 @@ from .core import (
 from .isomorphism import IsomorphismWitness, are_isomorphic, is_isomorphism
 from .products import direct_product
 from .reduction import require_class_g
+from .skeleton import certifies_prime
 
 DEFAULT_NODE_LIMIT = 20
 
@@ -240,7 +251,7 @@ def _left_factors(a: int) -> tuple[_LeftFactor, ...]:
 
 
 class _GraphView:
-    """Per-graph data shared by every left-factor candidate of one search."""
+    """Per-graph data shared by every split and left-factor candidate of one graph."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -251,12 +262,14 @@ class _GraphView:
         self.isolated = self.rowsums.count(0)
         # components in order of their smallest vertex, BFS inside each
         self.order = order = []
+        self.components = 0
         seen = 0
         for head in range(g.node_count):
             if head == len(order):  # queue empty: next smallest unseen vertex
                 low = (seen + 1) & ~seen
                 seen |= low
                 order.append(low.bit_length() - 1)
+                self.components += 1
             for w in bits(masks[order[head]] & ~seen):
                 seen |= 1 << w
                 order.append(w)
@@ -444,7 +457,13 @@ def factor_search(
     if fixed_a is not None:
         left = _left_factor(_check_fixed_a(fixed_a, a), _permuters(a))[0]
         return _FactorSearch(view, b, left).run()
-    g_bipartite = is_bipartite(g)
+    return _search_split(view, a, b, is_bipartite(g))
+
+
+def _search_split(
+    view: _GraphView, a: int, b: int, g_bipartite: bool
+) -> FactorizationWitness | None:
+    """The first witness over the order-a left factors that pass the counting filters."""
     for left in _left_factors(a):
         if _left_factor_feasible(left, view, g_bipartite):
             found = _FactorSearch(view, b, left).run()
@@ -462,8 +481,21 @@ def find_factorization(
 ) -> FactorizationWitness | None:
     """First factorization over divisor pairs in increasing left order, or None."""
     _check_node_limit(g, node_limit)
-    for a, b in _divisor_pairs(g.node_count):
-        witness = factor_search(g, a, b, node_limit=node_limit)
+    splits = _divisor_pairs(g.node_count)
+    if not splits:
+        return None
+    view = _GraphView(g)
+    g_bipartite = is_bipartite(g)
+    masks = g.adjacency_masks
+    if (
+        not g_bipartite
+        and view.components == 1
+        and len(set(masks)) == len(masks)  # R-thin
+        and certifies_prime(masks)
+    ):
+        return None
+    for a, b in splits:
+        witness = _search_split(view, a, b, g_bipartite)
         if witness is not None:
             return witness
     return None

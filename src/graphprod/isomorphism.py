@@ -55,7 +55,15 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .core import Graph, InternalError, SizeLimitError, bits, neighbor_lists, relabel
+from .core import (
+    Graph,
+    InternalError,
+    PreconditionError,
+    SizeLimitError,
+    bits,
+    neighbor_lists,
+    relabel,
+)
 
 DEFAULT_NODE_LIMIT = 16
 
@@ -246,11 +254,12 @@ def are_isomorphic(
 ) -> IsomorphismWitness | None:
     """Search for an isomorphism g1 -> g2; None if the graphs differ.
 
-    Inputs must be nonempty.  Graphs larger than ``node_limit`` raise
-    :class:`SizeLimitError`; pass ``node_limit=None`` to lift the bound.
+    Empty inputs raise :class:`PreconditionError`.  Graphs larger than
+    ``node_limit`` raise :class:`SizeLimitError`; pass ``node_limit=None``
+    to lift the bound.
     """
     if g1.node_count == 0 or g2.node_count == 0:
-        raise ValueError("isomorphism search requires nonempty graphs")
+        raise PreconditionError("isomorphism is undefined for the empty graph")
     if node_limit is not None and max(g1.node_count, g2.node_count) > node_limit:
         raise SizeLimitError(
             f"inputs exceed the {node_limit}-node bound; raise node_limit to proceed"

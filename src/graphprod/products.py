@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
-from .core import Edge, Graph, SizeLimitError, adjacency_matrix
+from .core import Edge, Graph, PreconditionError, SizeLimitError, adjacency_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,7 @@ def product(
 ) -> Graph:
     """Product graph of the chosen kind on ``n1 * n2`` row-major indexed nodes."""
     if g1.node_count == 0 or g2.node_count == 0:
-        raise ValueError("graph products require nonempty factors")
+        raise PreconditionError("graph products require nonempty factors")
     order = g1.node_count * g2.node_count
     if node_limit is not None and order > node_limit:
         raise SizeLimitError(f"product order {order} exceeds the {node_limit}-node bound")

@@ -1,0 +1,223 @@
+"""A polynomial prime certificate from the Cartesian skeleton.
+
+Connected nonbipartite graphs factor uniquely under the direct product, in
+polynomial time (Imrich 1998).  This module implements the part of that
+route a prime verdict needs: it proves some connected, nonbipartite, R-thin
+graphs prime without any factor search.  A graph is R-thin when no two of
+its vertices have equal neighbourhoods.  N(x) is the open neighbourhood,
+which holds x itself when x carries a loop.
+
+The Cartesian skeleton S(G) (Hammack & Imrich, "On Cartesian skeletons of
+graphs", Ars Math. Contemp. 2, 2009) starts from the Boolean square: the
+loop-free graph that joins distinct x and y when N(x) and N(y) meet.  An
+edge xy of it is dispensable, and left out of S(G), if some z satisfies
+both of these (⊂ is proper inclusion):
+
+* N(x) ∩ N(y) ⊂ N(x) ∩ N(z), or N(x) ⊂ N(z) ⊂ N(y);
+* N(x) ∩ N(y) ⊂ N(y) ∩ N(z), or N(y) ⊂ N(z) ⊂ N(x).
+
+For R-thin graphs A and B without isolated vertices, S(A × B) is the
+Cartesian product S(A) □ S(B), with vertex (a, b) at index a * |B| + b.
+
+Feder's product relation σ = (Θ ∪ τ)* on the edges of a graph (J. Graph
+Theory 16, 1992) is the closure of two relations:
+
+* τ relates edges xy and xz with a common end unless they span a chordless
+  square: y and z are not adjacent, and some w outside the closed
+  neighbourhood N[x] is adjacent to both;
+* Θ relates edges xy and uv when d(x, u) + d(y, v) ≠ d(x, v) + d(y, u).
+
+:func:`certifies_prime` builds S(G), checks it is connected, and joins its
+edges under τ and then, only while more than one class is left, under Θ.
+One class means G is prime.
+
+Why this is sound.  Suppose G = A × B with |A|, |B| >= 2.  A direct product
+is connected only if both factors are, and bipartite if either factor is,
+so A and B are connected and nonbipartite; each has at least two vertices,
+so neither has an isolated vertex.  N_G((a, b)) = N_A(a) × N_B(b), with
+both sides nonempty, so equal neighbourhoods in A or in B would give equal
+neighbourhoods in G: A and B are R-thin.  Hence S(G) = S(A) □ S(B).  If
+S(G) is connected, so are S(A) and S(B), and each has an edge.  Call an
+edge of S(A) □ S(B) an A-edge if its ends differ in the A coordinate.  An
+A-edge (a, b)(a', b) and a B-edge (a, b)(a, b') with a common end span the
+chordless square through (a', b'), so τ never relates them.  Distances in a
+Cartesian product add over the coordinates, d = d_A + d_B, where d_A and
+d_B measure between the A and the B coordinates.  For an A-edge xy and a
+B-edge uv both sides of the Θ condition equal
+d_A(x, u) + d_A(y, u) + d_B(x, u) + d_B(x, v), so Θ never relates them
+either.  The closure of Θ ∪ τ keeps the A-edges and the B-edges apart, and
+at least two classes remain.  So one class proves G prime.  The converse
+fails: a prime graph may leave several classes, and then nothing is
+claimed.
+
+The certificate only prunes: :func:`graphprod.factorization.find_factorization`
+sends every graph it does not certify to the exhaustive search.
+
+Everything runs on adjacency bitmasks (``Graph.adjacency_masks``): bit w
+of ``masks[v]`` is set when v and w are adjacent.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+from .core import _levels, bits
+
+
+def cartesian_skeleton(masks: Sequence[int]) -> list[int]:
+    """S(G) as adjacency bitmasks, for the graph G with adjacency rows ``masks``.
+
+    Of the Boolean-square edges xy, with c = N(x) ∩ N(y), the dispensable
+    ones are these.  If N(x) ⊂ N(y), the first disjunct of the first
+    condition cannot hold (c is N(x)) and N(x) ⊂ N(z) ⊂ N(y) implies the
+    second condition, so xy is dispensable iff such a z exists; likewise
+    with x and y swapped.  Otherwise neither "⊂ N(z) ⊂" disjunct can hold,
+    and xy is dispensable iff some z has c ⊆ N(z) with N(z) meeting both
+    N(x) - c and N(y) - c.  Either way z ranges over the vertices whose
+    neighbourhood holds c, those in N(w) for every w in c.  The loops walk
+    set bits by hand: this runs before every factor search.
+    """
+    n = len(masks)
+    out = [0] * n
+    for x in range(n):
+        nx = masks[x]
+        square = 0  # the Boolean square: y > x with N(x) ∩ N(y) nonempty
+        rest = nx
+        while rest:
+            low = rest & -rest
+            square |= masks[low.bit_length() - 1]
+            rest ^= low
+        square &= -(2 << x)
+        while square:
+            bit_y = square & -square
+            square ^= bit_y
+            ny = masks[bit_y.bit_length() - 1]
+            c = nx & ny
+            zs = -1
+            rest = c
+            while rest:
+                low = rest & -rest
+                zs &= masks[low.bit_length() - 1]
+                rest ^= low
+            if c == nx or c == ny:
+                high = nx | ny
+                while zs:
+                    low = zs & -zs
+                    nz = masks[low.bit_length() - 1]
+                    if nz | high == high and nz != c and nz != high:
+                        break
+                    zs ^= low
+            else:
+                only_x, only_y = nx ^ c, ny ^ c
+                while zs:
+                    low = zs & -zs
+                    nz = masks[low.bit_length() - 1]
+                    if nz & only_x and nz & only_y:
+                        break
+                    zs ^= low
+            if not zs:  # no z found: xy is an edge of S(G)
+                out[x] |= bit_y
+                out[bit_y.bit_length() - 1] |= 1 << x
+    return out
+
+
+def certifies_prime(masks: Sequence[int]) -> bool:
+    """True if the skeleton proves G prime; False claims nothing.
+
+    ``masks`` must describe a connected, nonbipartite, R-thin graph G; the
+    caller checks that (the module docstring says why it matters).
+    """
+    s = cartesian_skeleton(masks)
+    n = len(s)
+    if sum(_levels(s, 0)) != (1 << n) - 1:  # S(G) must be connected
+        return False
+    ends = [(u, v) for u in range(n) for v in bits(s[u] & -(2 << u))]
+    if len(ends) < 2:
+        return len(ends) == 1
+    eid = {}  # the id of edge uv, under u * n + v and under v * n + u
+    for e, (u, v) in enumerate(ends):
+        eid[u * n + v] = eid[v * n + u] = e
+    parent = list(range(len(ends)))
+    classes = len(ends)
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    # τ: join xy and xz unless they span a chordless square
+    for x in range(n):
+        star = list(bits(s[x]))
+        closed = s[x] | 1 << x
+        for i, y in enumerate(star):
+            sy = s[y]
+            root = find(eid[x * n + y])
+            for z in star[i + 1 :]:
+                if sy >> z & 1 or not sy & s[z] & ~closed:
+                    other = find(eid[x * n + z])
+                    if other != root:
+                        parent[other] = root
+                        classes -= 1
+        if classes == 1:
+            return True
+    return _theta_joins(s, ends, [find(e) for e in range(len(ends))])
+
+
+def _theta_joins(s: Sequence[int], ends: list[tuple[int, int]], root: list[int]) -> bool:
+    """True if Θ joins the classes (edge e in class ``root[e]``) into one.
+
+    Edge uv, u < v, leans towards w when d(w, u) < d(w, v) and away from w
+    when d(w, u) > d(w, v).  As u and v are adjacent, d(w, u) - d(w, v) is
+    -1, 0 or 1, and the lean tells which.  The Θ condition for xy and uv
+    reads d(x, u) - d(x, v) ≠ d(y, u) - d(y, v): uv leans differently
+    towards x and towards y.  A breadth-first search over the classes
+    takes in every class holding an edge Θ-related to one already reached.
+    It starts from the smallest class: when G is composite the search must
+    exhaust a class of the factorization, and a small τ class tends to lie
+    in a small one.
+    """
+    n = len(s)
+    at = [0] * n  # at[v]: the edges with an end at v, as a bitmask over edge ids
+    low_at = [0] * n  # the edges whose smaller end is v
+    members: dict[int, int] = {}  # class root -> its edges
+    for e, (u, v) in enumerate(ends):
+        bit = 1 << e
+        at[u] |= bit
+        low_at[u] |= bit
+        at[v] |= bit
+        members[root[e]] = members.get(root[e], 0) | bit
+    towards = [0] * n
+    away = [0] * n
+    for w in range(n):
+        # the edges between distance levels k and k + 1 of w are the edges
+        # with exactly one end within distance k: an XOR of the at[] masks
+        cut = lean = apart = 0
+        seen = level = 1 << w
+        while level:
+            reach = low = 0
+            while level:
+                bit = level & -level
+                v = bit.bit_length() - 1
+                cut ^= at[v]
+                low |= low_at[v]
+                reach |= s[v]
+                level ^= bit
+            lean |= cut & low  # from level k to k + 1, smaller end at level k
+            apart |= cut
+            level = reach & ~seen
+            seen |= level
+        towards[w] = lean
+        away[w] = apart & ~lean
+    seen = frontier = min(members.values(), key=int.bit_count)
+    while frontier:
+        reach = 0
+        for e in bits(frontier):
+            x, y = ends[e]
+            reach |= towards[x] ^ towards[y] | away[x] ^ away[y]
+        frontier = 0
+        for edges in members.values():
+            if edges & reach & ~seen:
+                frontier |= edges
+        seen |= frontier
+    return seen == (1 << len(ends)) - 1

@@ -186,6 +186,41 @@ def naive_product_edges(kind: str, g1: Graph, g2: Graph) -> frozenset:
     return frozenset(edges)
 
 
+def naive_cartesian_product(g1: Graph, g2: Graph) -> Graph:
+    """The Cartesian product, built by :func:`naive_product_edges`."""
+    return Graph(g1.node_count * g2.node_count, naive_product_edges("cartesian", g1, g2))
+
+
+def naive_cartesian_skeleton(g: Graph) -> Graph:
+    """Hammack and Imrich's Cartesian skeleton S(g), straight from its definition.
+
+    The Boolean square joins x != y with a common neighbour (a looped node
+    is its own neighbour); the edge xy is dispensable, and dropped, if some
+    z has both (N(x) & N(y) < N(x) & N(z) or N(x) < N(z) < N(y)) and
+    (N(x) & N(y) < N(y) & N(z) or N(y) < N(z) < N(x)), with < the proper
+    subset test on Python sets.
+    """
+    n = g.node_count
+    nbrs = [{w for w in range(n) if g.has_edge(v, w)} for v in range(n)]
+    edges = set()
+    for x in range(n):
+        for y in range(x + 1, n):
+            c = nbrs[x] & nbrs[y]
+            if c and not any(
+                (c < nbrs[x] & nbrs[z] or nbrs[x] < nbrs[z] < nbrs[y])
+                and (c < nbrs[y] & nbrs[z] or nbrs[y] < nbrs[z] < nbrs[x])
+                for z in range(n)
+            ):
+                edges.add((x, y))
+    return Graph(n, frozenset(edges))
+
+
+def is_r_thin(g: Graph) -> bool:
+    """No two nodes have the same neighbourhood (a loop puts a node in its own)."""
+    n = g.node_count
+    return len({frozenset(w for w in range(n) if g.has_edge(v, w)) for v in range(n)}) == n
+
+
 def naive_factor_exists(g: Graph, a: int, b: int) -> bool:
     """Enumerate every factor pair (A, B) and test direct(A, B) ~ g."""
     nz = g.nonzero_count

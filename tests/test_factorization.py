@@ -763,10 +763,31 @@ def test_internal_checks_raise_under_python_O():
     assert _run_under_python_O(_CHECKS_UNDER_O) == ["InternalError"] * 2
 
 
+_IMPORT_DOES_NO_WORK = textwrap.dedent(
+    """
+    import sys
+
+    skeleton_calls = []
+
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.endswith("skeleton.py") and code.co_name != "<module>":
+            skeleton_calls.append(code.co_name)
+
+
+    sys.setprofile(watch)
+    import graphprod.cli, graphprod.factorization as fz
+    sys.setprofile(None)
+    print(fz._left_factors.cache_info().currsize)
+    print("graphprod.skeleton" in sys.modules, len(skeleton_calls), "numpy" in sys.modules)
+    """
+)
+
+
 def test_no_left_factor_table_is_built_at_import():
-    script = "import graphprod.cli, graphprod.factorization as fz\n"
-    script += "print(fz._left_factors.cache_info().currsize)"
-    assert _run_under_python_O(script) == ["0"]
+    # nor does the skeleton module run any of its code, or pull in numpy
+    assert _run_under_python_O(_IMPORT_DOES_NO_WORK) == ["0", "True", "0", "False"]
 
 
 def test_identity_factor_never_claimed():
