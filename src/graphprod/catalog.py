@@ -34,7 +34,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def add_loops(g: Graph, nodes: Iterable[int]) -> Graph:
-    return Graph(g.node_count, g.edges | {(v, v) for v in nodes}, g.labels)
+    return Graph(g.node_count, g.edges | {(v, v) for v in nodes})
 
 
 L1 = add_loops(Graph(1), [0])  # single looped node, the direct-product identity

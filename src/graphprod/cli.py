@@ -138,8 +138,6 @@ def _cmd_product(args, started: float) -> int:
 
 def _cmd_factor(args, started: float) -> int:
     g = read_edge_list(args.file)
-    if g.node_count == 0:
-        raise PreconditionError("factoring is undefined for the empty graph")
     limit = _env_limit() or factorization.DEFAULT_NODE_LIMIT
     if g.node_count == 1:
         _emit(args, [args.file], {"verdict": "trivial"}, ["trivial"], started)

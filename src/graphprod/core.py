@@ -14,8 +14,9 @@ Counting and adjacency conventions used throughout the package:
 Every counting argument in :mod:`graphprod.factorization` and
 :mod:`graphprod.reduction` depends on the ``2*m - s`` rule; do not change it.
 
-Optional per-node labels are opaque strings carried for I/O convenience and
-ignored by every algorithm.
+Connectivity, components and bipartiteness all read one breadth-first pass
+(:func:`breadth_first`), run on first use and cached on the graph as
+``Graph.traversal``.
 
 Every algorithm runs on plain Python integers (``Graph.adjacency_masks``).
 numpy is imported only by the array helpers :func:`adjacency_matrix` and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,13 +84,12 @@ class Graph:
 
     ``edges`` may be given with endpoints in either order; they are
     normalized to ``(min, max)`` tuples on construction, which also counts
-    ``loop_count``, s, the number of self-loops.  ``adjacency_masks`` is
-    computed on first use and cached on the instance.
+    ``loop_count``, s, the number of self-loops.  ``adjacency_masks`` and
+    ``traversal`` are computed on first use and cached on the instance.
     """
 
     node_count: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
-    labels: tuple[str, ...] | None = None
     loop_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,11 +106,6 @@ class Graph:
             normalized.add((u, v) if u <= v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "loop_count", loops)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != n:
-                raise ValueError("labels length must equal node_count")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def edge_count(self) -> int:
@@ -125,6 +120,11 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def traversal(self) -> Traversal:
+        """:func:`breadth_first` of this graph, run once."""
+        return breadth_first(self.adjacency_masks)
 
     @property
     def nonzero_count(self) -> int:
@@ -146,14 +146,7 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     n = g.node_count
     if len(mapping) != n or sorted(mapping) != list(range(n)):
         raise ValueError("mapping must be a permutation of 0..n-1")
-    edges = {(mapping[u], mapping[v]) for u, v in g.edges}
-    labels = None
-    if g.labels is not None:
-        out = [""] * n
-        for old, new in enumerate(mapping):
-            out[new] = g.labels[old]
-        labels = tuple(out)
-    return Graph(n, frozenset(edges), labels)
+    return Graph(n, frozenset((mapping[u], mapping[v]) for u, v in g.edges))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -161,10 +154,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n1 = g1.node_count
     edges = set(g1.edges)
     edges.update((u + n1, v + n1) for u, v in g2.edges)
-    labels = None
-    if g1.labels is not None and g2.labels is not None:
-        labels = g1.labels + g2.labels
-    return Graph(n1 + g2.node_count, frozenset(edges), labels)
+    return Graph(n1 + g2.node_count, frozenset(edges))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -185,34 +175,56 @@ def neighbor_lists(g: Graph) -> list[list[int]]:
     return nbrs
 
 
-def _levels(masks: Sequence[int], start: int) -> Iterator[int]:
-    """Breadth-first search from ``start``: each distance level as a bitmask."""
-    seen = frontier = 1 << start
-    while frontier:
-        yield frontier
-        reach = 0
-        for u in bits(frontier):
-            reach |= masks[u]
-        frontier = reach & ~seen
-        seen |= frontier
+class Traversal(NamedTuple):
+    order: tuple[int, ...]  # every node, in visiting order
+    starts: tuple[int, ...]  # index in ``order`` of each component's first node
+    coloring: tuple[int, ...] | None  # BFS depth parity; None on an odd cycle
+
+
+def breadth_first(masks: Sequence[int]) -> Traversal:
+    """One breadth-first pass over the graph with adjacency rows ``masks``.
+
+    Components come in order of their smallest node, each searched from that
+    node, with neighbours queued in ascending order.  A neighbour at the
+    same depth parity closes an odd cycle; a self-loop is one.
+    """
+    order: list[int] = []
+    starts = []
+    seen = odd = clash = 0  # nodes queued; those at odd depth; odd-cycle ends
+    for head in range(len(masks)):
+        if head == len(order):  # queue empty: next smallest unseen node
+            starts.append(head)
+            low = (seen + 1) & ~seen
+            seen |= low
+            order.append(low.bit_length() - 1)
+        u = order[head]
+        nbrs = masks[u]
+        fresh = nbrs & ~seen
+        if odd >> u & 1:
+            clash |= nbrs & odd
+        else:
+            clash |= nbrs & seen & ~odd
+            odd |= fresh
+        seen |= fresh
+        while fresh:  # queued in ascending order; inlined, as this runs per graph
+            low = fresh & -fresh
+            order.append(low.bit_length() - 1)
+            fresh ^= low
+    coloring = None if clash else tuple(odd >> v & 1 for v in range(len(masks)))
+    return Traversal(tuple(order), tuple(starts), coloring)
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every node is reachable from node 0.  Rejects empty graphs."""
+    """True iff the graph has one component.  Rejects empty graphs."""
     if g.node_count == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    return sum(_levels(g.adjacency_masks, 0)) == (1 << g.node_count) - 1
+    return len(g.traversal.starts) == 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest node."""
-    left = (1 << g.node_count) - 1
-    comps = []
-    while left:
-        comp = sum(_levels(g.adjacency_masks, (left & -left).bit_length() - 1))
-        comps.append(list(bits(comp)))
-        left &= ~comp
-    return comps
+    order, starts, _ = g.traversal
+    return [sorted(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
@@ -225,10 +237,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
         for u, v in g.edges
         if u in index and v in index
     }
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[v] for v in nodes)
-    return Graph(len(nodes), frozenset(edges), labels)
+    return Graph(len(nodes), frozenset(edges))
 
 
 def bipartition(g: Graph) -> list[int] | None:
@@ -238,28 +247,13 @@ def bipartition(g: Graph) -> list[int] | None:
     its component.  Any self-loop is an odd cycle of length one, so loopy
     graphs are never bipartite.
     """
-    if g.loop_count > 0:
-        return None
-    return two_coloring(g.adjacency_masks)
-
-
-def two_coloring(masks: Sequence[int]) -> list[int] | None:
-    """:func:`bipartition` of the graph with adjacency rows ``masks``; loops fail it."""
-    color = [0] * len(masks)
-    left = (1 << len(masks)) - 1
-    while left:
-        for depth, level in enumerate(_levels(masks, (left & -left).bit_length() - 1)):
-            left &= ~level
-            for u in bits(level):
-                if masks[u] & level:
-                    return None
-                color[u] = depth & 1
-    return color
+    coloring = g.traversal.coloring
+    return None if coloring is None else list(coloring)
 
 
 def is_bipartite(g: Graph) -> bool:
     """True iff the graph admits a proper 2-coloring."""
-    return bipartition(g) is not None
+    return g.traversal.coloring is not None
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -274,7 +268,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return mat
 
 
-def graph_from_adjacency(mat: np.ndarray, labels: Sequence[str] | None = None) -> Graph:
+def graph_from_adjacency(mat: np.ndarray) -> Graph:
     """Inverse of :func:`adjacency_matrix`; validates symmetry and 0/1 entries."""
     import numpy as np
 
@@ -287,7 +281,7 @@ def graph_from_adjacency(mat: np.ndarray, labels: Sequence[str] | None = None) -
         raise ValueError("adjacency entries must be 0 or 1")
     n = mat.shape[0]
     edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(mat)) if u <= v}
-    return Graph(n, frozenset(edges), tuple(labels) if labels is not None else None)
+    return Graph(n, frozenset(edges))
 
 
 # --- edge-list text format -------------------------------------------------

@@ -83,6 +83,7 @@ from .core import (
     PreconditionError,
     SizeLimitError,
     bits,
+    breadth_first,
     connected_components,
     disjoint_union,
     induced_subgraph,
@@ -90,7 +91,6 @@ from .core import (
     is_connected,
     neighbor_lists,
     relabel,
-    two_coloring,
 )
 from .isomorphism import IsomorphismWitness, are_isomorphic, is_isomorphism
 from .products import direct_product
@@ -228,7 +228,7 @@ def _left_factor(cells: Matrix, permuters: list) -> tuple[_LeftFactor, set[tuple
         sum(rowsums),
         loops,
         rowsums.count(0),
-        loops == 0 and two_coloring(masks) is not None,
+        breadth_first(masks).coloring is not None,
         rowsums,
         tuple(tuple(s for s in range(a) if row[s]) for row in cells),
         tuple(tuple(s for s in range(a) if not row[s]) for row in cells),
@@ -260,19 +260,7 @@ class _GraphView:
         self.loops = [mask >> v & 1 for v, mask in enumerate(masks)]
         self.nbrs = neighbor_lists(g)
         self.isolated = self.rowsums.count(0)
-        # components in order of their smallest vertex, BFS inside each
-        self.order = order = []
-        self.components = 0
-        seen = 0
-        for head in range(g.node_count):
-            if head == len(order):  # queue empty: next smallest unseen vertex
-                low = (seen + 1) & ~seen
-                seen |= low
-                order.append(low.bit_length() - 1)
-                self.components += 1
-            for w in bits(masks[order[head]] & ~seen):
-                seen |= 1 << w
-                order.append(w)
+        self.order = g.traversal.order
 
 
 def _left_factor_feasible(left: _LeftFactor, view: _GraphView, g_bipartite: bool) -> bool:
@@ -479,7 +467,12 @@ def _divisor_pairs(n: int) -> list[tuple[int, int]]:
 def find_factorization(
     g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT
 ) -> FactorizationWitness | None:
-    """First factorization over divisor pairs in increasing left order, or None."""
+    """First factorization over divisor pairs in increasing left order, or None.
+
+    Raises :class:`PreconditionError` on the empty graph.
+    """
+    if g.node_count == 0:
+        raise PreconditionError("factoring is undefined for the empty graph")
     _check_node_limit(g, node_limit)
     splits = _divisor_pairs(g.node_count)
     if not splits:
@@ -489,7 +482,7 @@ def find_factorization(
     masks = g.adjacency_masks
     if (
         not g_bipartite
-        and view.components == 1
+        and len(g.traversal.starts) == 1
         and len(set(masks)) == len(masks)  # R-thin
         and certifies_prime(masks)
     ):
@@ -507,8 +500,6 @@ def is_prime_direct(g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT) ->
     The single-node graph is neither prime nor composite; it reports False
     here and is called out as trivial by the CLI.
     """
-    if g.node_count < 1:
-        raise ValueError("primality is undefined for the empty graph")
     _check_node_limit(g, node_limit)
     if g.node_count == 1:
         return False

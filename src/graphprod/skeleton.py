@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import _levels, bits
+from .core import bits, breadth_first
 
 
 def cartesian_skeleton(masks: Sequence[int]) -> list[int]:
@@ -129,7 +129,7 @@ def certifies_prime(masks: Sequence[int]) -> bool:
     """
     s = cartesian_skeleton(masks)
     n = len(s)
-    if sum(_levels(s, 0)) != (1 << n) - 1:  # S(G) must be connected
+    if len(breadth_first(s).starts) != 1:  # S(G) must be connected
         return False
     ends = [(u, v) for u in range(n) for v in bits(s[u] & -(2 << u))]
     if len(ends) < 2:

@@ -8,7 +8,7 @@ the library implementations are checked against a second route.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import permutations
 
 from graphprod import Graph, are_isomorphic, direct_product, disjoint_union, relabel
@@ -115,6 +115,37 @@ def nonisomorphic_pair_same_counts(
 
 
 # -- naive oracles -------------------------------------------------------------
+
+
+def naive_breadth_first(g: Graph) -> tuple[list[int], list[list[int]], list[int] | None]:
+    """Visiting order, components and depth-parity 2-coloring, from neighbour sets.
+
+    Each component is searched from its smallest node, with neighbours queued
+    in ascending order.  The coloring is None when some edge, a self-loop
+    included, joins two nodes of the same color.
+    """
+    nbrs: dict[int, set[int]] = {v: set() for v in range(g.node_count)}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    order, comps, depth = [], [], {}
+    for root in range(g.node_count):
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue, comp = deque([root]), []
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in sorted(nbrs[u] - depth.keys()):
+                depth[w] = depth[u] + 1
+                queue.append(w)
+        order += comp
+        comps.append(sorted(comp))
+    coloring = [depth[v] % 2 for v in range(g.node_count)]
+    if any(coloring[u] == coloring[v] for u, v in g.edges):
+        return order, comps, None
+    return order, comps, coloring
 
 
 def naive_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:

@@ -190,6 +190,16 @@ def test_factor_failed_reverification_exit_5(monkeypatch, capsys):
     assert "re-verification" in report["error"]
 
 
+def test_factor_on_an_empty_graph_exit_4(tmp_path, capsys):
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    code, out, err = run(capsys, "factor", "--json", str(empty))
+    assert code == 4
+    assert err == "error: factoring is undefined for the empty graph\n"
+    report = json.loads(out)
+    assert report["command"] == "factor" and report["exit_code"] == 4
+
+
 def test_factor_size_bound_exit_3(tmp_path, capsys):
     big = tmp_path / "big.el"
     lines = ["21 20"] + [f"{i} {i + 1}" for i in range(20)]

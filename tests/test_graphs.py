@@ -25,10 +25,16 @@ from graphprod import (
     read_edge_list,
     relabel,
 )
-from graphprod.core import MAX_HEADER_NODES
+from graphprod.core import MAX_HEADER_NODES, breadth_first
 from graphprod.catalog import C3, C4, C5, K1_4, K2, add_loops
 
-from helpers import all_graphs, random_graph
+from helpers import (
+    all_graphs,
+    naive_breadth_first,
+    random_bipartite_connected,
+    random_graph,
+    random_relabeling,
+)
 
 
 @st.composite
@@ -50,15 +56,6 @@ def test_out_of_range_edge_rejected():
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         Graph(-1)
-
-
-def test_labels_validated_and_preserved():
-    g = Graph(2, frozenset({(0, 1)}), labels=("a", "b"))
-    assert g.labels == ("a", "b")
-    with pytest.raises(ValueError):
-        Graph(2, frozenset(), labels=("a",))
-    moved = relabel(g, [1, 0])
-    assert moved.labels == ("b", "a")
 
 
 def test_nonzero_count_is_2m_minus_s_exhaustive():
@@ -150,6 +147,41 @@ def test_connected_components_and_induced_subgraph():
     assert comps == [[0, 1, 2], [3, 4]]
     sub = induced_subgraph(u, comps[1])
     assert sub == add_loops(K2, [1])
+
+
+def _multi_component_graphs(rng, count=300, max_nodes=12):
+    """Disjoint unions of random pieces, loopy or bipartite, nodes shuffled."""
+    for _ in range(count):
+        g = Graph(0)
+        while g.node_count < max_nodes and (g.node_count == 0 or rng.random() < 0.7):
+            k = rng.randint(1, min(5, max_nodes - g.node_count))
+            if rng.random() < 0.5:
+                piece = random_bipartite_connected(k, rng)
+            else:
+                piece = random_graph(k, rng, edge_p=0.5, loop_p=0.1)
+            g = disjoint_union(g, piece)
+        yield random_relabeling(g, rng)
+
+
+def test_breadth_first_matches_a_set_based_reference():
+    graphs = [g for n in range(1, 5) for g in all_graphs(n)]
+    graphs += _multi_component_graphs(random.Random(20))
+    for g in graphs:
+        order, comps, coloring = naive_breadth_first(g)
+        traversal = breadth_first(g.adjacency_masks)
+        assert list(traversal.order) == order, g
+        assert g.traversal == traversal
+        assert connected_components(g) == comps, g
+        assert len(traversal.starts) == len(comps)
+        assert is_connected(g) == (len(comps) == 1)
+        assert bipartition(g) == coloring, g
+        assert is_bipartite(g) == (coloring is not None)
+
+
+def test_bipartition_returns_a_fresh_list():
+    coloring = bipartition(C4)
+    coloring[0] = 5
+    assert bipartition(C4) == [0, 1, 0, 1]
 
 
 def test_relabel_is_inverse_friendly():

@@ -310,3 +310,19 @@ def test_general_driver_on_long_paths_does_not_recurse():
     # the padded union has 1202 nodes; the factor search places one per level
     p300 = path_graph(300)
     assert graph_isomorphism_via_compositeness(p300, p300, search_oracle) is True
+
+
+def test_each_graph_is_traversed_once(monkeypatch):
+    from graphprod import core
+
+    seen = []
+    traverse = core.breadth_first
+    monkeypatch.setattr(core, "breadth_first", lambda masks: seen.append(masks) or traverse(masks))
+    # fresh graphs, so no traversal is cached yet; equal counts reach the oracle
+    g1 = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 3)}))
+    g2 = Graph(4, frozenset({(0, 0), (0, 1), (1, 2), (2, 3)}))
+    assert graph_isomorphism_via_compositeness(g1, g2, search_oracle)
+    traversed = seen[:]
+    pad1, pad2 = pad_to_class_g(g1).padded, pad_to_class_g(g2).padded
+    union = disjoint_union(pad1, pad2)
+    assert traversed == [g.adjacency_masks for g in (g1, g2, pad1, pad2, union)]
