@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classg", help="class G membership report, optional padding")
     c.add_argument("--pad", action="store_true", help="also emit the padded graph")
-    c.add_argument("--out", help="write the padded graph here")
+    c.add_argument("--out", help="write the padded graph here (implies --pad)")
     c.add_argument("--json", action="store_true")
     c.add_argument("file")
 
@@ -240,7 +240,7 @@ def _cmd_classg(args, started: float) -> int:
         "p4_not_div2": report.p4_not_div2,
         "p5_not_div3": report.p5_not_div3,
     }
-    if args.pad:
+    if args.pad or args.out:
         result = reduction.pad_to_class_g(g)
         pad_json = reduction.padding_result_to_json(result)
         if args.out:

@@ -14,12 +14,13 @@ Counting and adjacency conventions used throughout the package:
 Every counting argument in :mod:`graphprod.factorization` and
 :mod:`graphprod.reduction` depends on the ``2*m - s`` rule; do not change it.
 
-Connectivity, components and bipartiteness all read one breadth-first pass
-(:func:`breadth_first`), run on first use and cached on the graph as
-``Graph.traversal``.
+Per-graph data is computed once and cached on the graph: adjacency rows as
+bitmasks (``Graph.adjacency_masks``), neighbour tuples (``Graph.neighbors``)
+and one breadth-first pass (:func:`breadth_first`, as ``Graph.traversal``),
+which answers connectivity, components and bipartiteness.
 
-Every algorithm runs on plain Python integers (``Graph.adjacency_masks``).
-numpy is imported only by the array helpers :func:`adjacency_matrix` and
+Every algorithm runs on these plain Python views.  numpy is imported only
+by the array helpers :func:`adjacency_matrix` and
 :func:`graph_from_adjacency`, on first call, so importing the package does
 not load it.
 """
@@ -84,8 +85,9 @@ class Graph:
 
     ``edges`` may be given with endpoints in either order; they are
     normalized to ``(min, max)`` tuples on construction, which also counts
-    ``loop_count``, s, the number of self-loops.  ``adjacency_masks`` and
-    ``traversal`` are computed on first use and cached on the instance.
+    ``loop_count``, s, the number of self-loops.  Three views are computed
+    on first use and cached on the instance: ``adjacency_masks``,
+    ``neighbors`` and ``traversal``.
     """
 
     node_count: int
@@ -120,6 +122,16 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each node, the node itself left out, in edge-set order."""
+        nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
+        for u, v in self.edges:
+            if u != v:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def traversal(self) -> Traversal:
@@ -165,16 +177,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def neighbor_lists(g: Graph) -> list[list[int]]:
-    """Neighbours of each node, the node itself excluded, in edge-set order."""
-    nbrs: list[list[int]] = [[] for _ in range(g.node_count)]
-    for u, v in g.edges:
-        if u != v:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    return nbrs
-
-
 class Traversal(NamedTuple):
     order: tuple[int, ...]  # every node, in visiting order
     starts: tuple[int, ...]  # index in ``order`` of each component's first node
@@ -217,7 +219,7 @@ def breadth_first(masks: Sequence[int]) -> Traversal:
 def is_connected(g: Graph) -> bool:
     """True iff the graph has one component.  Rejects empty graphs."""
     if g.node_count == 0:
-        raise ValueError("connectivity is undefined for the empty graph")
+        raise PreconditionError("connectivity is undefined for the empty graph")
     return len(g.traversal.starts) == 1
 
 

@@ -30,16 +30,17 @@ row of an orbit succeeds only if the orbit's smallest row, tried earlier,
 does.  ``fixed_a`` pins one exact matrix: the first rule does not apply
 there, the second does.
 
-Everything the search needs from g itself (adjacency rows as bitmasks,
-neighbour lists, loop flags, row sums, the vertex order, the isolated-vertex
-count) is computed once per :func:`factor_search` call and shared by every
-candidate A.  For each surviving A the engine backtracks over assignments
-of (row, col) labels to g's vertices.  Each row of B is a pair of column
-bitmasks (cells known to be 1, cells known to be 0), committed lazily as
-placements force them and undone exactly on backtrack.  Per vertex and per
-row r of A the engine keeps the mask of columns whose row-r occupant is a
-neighbour, so checking a placement against every placed vertex costs O(a)
-big-int operations.  Three prunings keep exhaustive searches on ~20-node
+Everything the search needs from g itself is cached on the graph (see
+:class:`graphprod.core.Graph`), so every split and every candidate A of one
+graph share it: adjacency rows as bitmasks, from which row sums, loop flags
+and the isolated-vertex count are read, neighbour tuples, and the
+breadth-first vertex order.  For each surviving A the engine backtracks
+over assignments of (row, col) labels to g's vertices.  Each row of B is a
+pair of column bitmasks (cells known to be 1, cells known to be 0),
+committed lazily as placements force them and undone exactly on backtrack.
+Per vertex and per row r of A the engine keeps the mask of columns whose
+row-r occupant is a neighbour, so checking a placement against every placed
+vertex costs O(a) big-int operations.  Three prunings keep exhaustive searches on ~20-node
 graphs inside desk scale, and each removes only branches that cannot
 complete, so they never change which witness is found first:
 
@@ -53,9 +54,9 @@ complete, so they never change which witness is found first:
 
 Vertices are placed component by component in breadth-first order.
 
-:func:`find_factorization` builds the per-graph data and tests
-bipartiteness once for all its divisor splits.  Before the first split it
-asks :func:`graphprod.skeleton.certifies_prime` for a polynomial proof of
+:func:`find_factorization` searches each divisor split, in increasing left
+order, through :func:`factor_search`.  Before the first split it asks
+:func:`graphprod.skeleton.certifies_prime` for a polynomial proof of
 primality, from the Cartesian skeleton of g, when g is connected,
 nonbipartite and R-thin (no two vertices share a neighbourhood).  The
 certificate is sound (the argument is in that module), so it only prunes:
@@ -89,7 +90,6 @@ from .core import (
     induced_subgraph,
     is_bipartite,
     is_connected,
-    neighbor_lists,
     relabel,
 )
 from .isomorphism import IsomorphismWitness, are_isomorphic, is_isomorphism
@@ -250,22 +250,8 @@ def _left_factors(a: int) -> tuple[_LeftFactor, ...]:
     return tuple(out)
 
 
-class _GraphView:
-    """Per-graph data shared by every split and left-factor candidate of one graph."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        masks = g.adjacency_masks
-        self.rowsums = [mask.bit_count() for mask in masks]
-        self.loops = [mask >> v & 1 for v, mask in enumerate(masks)]
-        self.nbrs = neighbor_lists(g)
-        self.isolated = self.rowsums.count(0)
-        self.order = g.traversal.order
-
-
-def _left_factor_feasible(left: _LeftFactor, view: _GraphView, g_bipartite: bool) -> bool:
+def _left_factor_feasible(left: _LeftFactor, g: Graph, g_bipartite: bool) -> bool:
     """Necessary counting conditions for g = A (x) B with this left factor."""
-    g = view.g
     b = g.node_count // len(left.cells)
     nz_a, loops_a = left.nonzeros, left.loops
     nz_g = g.nonzero_count
@@ -276,7 +262,7 @@ def _left_factor_feasible(left: _LeftFactor, view: _GraphView, g_bipartite: bool
         return False
     if loops_a > 0 and (loops_g % loops_a != 0 or loops_g // loops_a > b):
         return False
-    if left.zero_rows * b > view.isolated:
+    if left.zero_rows * b > g.adjacency_masks.count(0):  # isolated vertices
         return False
     # a bipartite left factor only produces bipartite products
     return g_bipartite or nz_g == 0 or not left.bipartite
@@ -291,19 +277,23 @@ class _FactorSearch:
     a placement against every placed vertex takes O(a) big-int operations.
     """
 
-    def __init__(self, view: _GraphView, b: int, left: _LeftFactor):
-        self.view = view
+    def __init__(self, g: Graph, b: int, left: _LeftFactor):
+        self.g = g
         self.a = a = len(left.cells)
         self.b = b
         self.left = left
+        # g's views, read on every placement, bound to the engine once
+        self.order = g.traversal.order
+        self.nbrs = g.neighbors
+        self.rowsums = [mask.bit_count() for mask in g.adjacency_masks]
         # row sums multiply across a Kronecker product, so vertex v fits in
         # row r only if rowsum_A(r) divides its adjacency row sum
         self.allowed_rows = [
             [r for r, ar in enumerate(left.rowsums)
              if (d % ar == 0 and d // ar <= b if ar else d == 0)]
-            for d in view.rowsums
+            for d in self.rowsums
         ]
-        n = view.g.node_count
+        n = g.node_count
         self.ones = [0] * b
         self.zeros = [0] * b
         self.nbr_cols = [0] * (n * a)
@@ -332,7 +322,7 @@ class _FactorSearch:
             zeros[low.bit_length() - 1] ^= bit
             new_zero ^= low
         nbr_cols, a = self.nbr_cols, self.a
-        for x in self.view.nbrs[v]:
+        for x in self.nbrs[v]:
             nbr_cols[x * a + r] ^= bit
         self.occupied[r] ^= bit
 
@@ -342,8 +332,8 @@ class _FactorSearch:
         Yields once per placement, while it stands; the placement is taken
         back before the next one is tried.
         """
-        view, left = self.view, self.left
-        v = view.order[idx]
+        left = self.left
+        v = self.order[idx]
         row_range = self.allowed_rows[v]
         if idx == 0:
             row_range = [r for r in row_range if r in left.first_rows]
@@ -351,8 +341,8 @@ class _FactorSearch:
         # used columns always form a prefix of range(b)
         occupied, ones, zeros = self.occupied, self.ones, self.zeros
         col_range = range(min(max(occupied).bit_length() + 1, self.b))
-        d = view.rowsums[v]
-        loop = view.loops[v]
+        d = self.rowsums[v]
+        loop = self.g.adjacency_masks[v] >> v & 1
         b_rowsums = self.b_rowsums
         nbr_cols = self.nbr_cols[v * self.a : (v + 1) * self.a]
         for r in row_range:
@@ -399,13 +389,13 @@ class _FactorSearch:
             Graph(self.b, frozenset(b_edges)),
             tuple(zip(self.rows, self.cols)),
         )
-        if not witness_is_valid(self.view.g, witness):
+        if not witness_is_valid(self.g, witness):
             raise InternalError("factor search produced a witness that fails re-verification")
         return witness
 
     def run(self) -> FactorizationWitness | None:
         """Depth-first search over an explicit stack of placement generators."""
-        n = len(self.view.order)
+        n = len(self.order)
         stack = [self._placements(0)]
         while stack:
             if not next(stack[-1], False):  # every placement tried: backtrack
@@ -441,20 +431,13 @@ def factor_search(
         raise ValueError("factor orders must satisfy 2 <= a <= b")
     if a * b != g.node_count:
         raise ValueError(f"{a} * {b} != {g.node_count} nodes")
-    view = _GraphView(g)
     if fixed_a is not None:
         left = _left_factor(_check_fixed_a(fixed_a, a), _permuters(a))[0]
-        return _FactorSearch(view, b, left).run()
-    return _search_split(view, a, b, is_bipartite(g))
-
-
-def _search_split(
-    view: _GraphView, a: int, b: int, g_bipartite: bool
-) -> FactorizationWitness | None:
-    """The first witness over the order-a left factors that pass the counting filters."""
+        return _FactorSearch(g, b, left).run()
+    g_bipartite = is_bipartite(g)
     for left in _left_factors(a):
-        if _left_factor_feasible(left, view, g_bipartite):
-            found = _FactorSearch(view, b, left).run()
+        if _left_factor_feasible(left, g, g_bipartite):
+            found = _FactorSearch(g, b, left).run()
             if found is not None:
                 return found
     return None
@@ -477,18 +460,16 @@ def find_factorization(
     splits = _divisor_pairs(g.node_count)
     if not splits:
         return None
-    view = _GraphView(g)
-    g_bipartite = is_bipartite(g)
     masks = g.adjacency_masks
     if (
-        not g_bipartite
+        not is_bipartite(g)
         and len(g.traversal.starts) == 1
         and len(set(masks)) == len(masks)  # R-thin
         and certifies_prime(masks)
     ):
         return None
     for a, b in splits:
-        witness = _search_split(view, a, b, g_bipartite)
+        witness = factor_search(g, a, b, node_limit=None)
         if witness is not None:
             return witness
     return None
@@ -513,9 +494,9 @@ def _require_connected_pair(g1: Graph, g2: Graph, what: str) -> int:
     """The common order of two connected graphs of equal order at least 2."""
     n = g1.node_count
     if g2.node_count != n:
-        raise ValueError("graphs must have equal order")
+        raise PreconditionError("graphs must have equal order")
     if n < 2:
-        raise ValueError(f"{what} needs order at least 2")
+        raise PreconditionError(f"{what} needs order at least 2")
     if not (is_connected(g1) and is_connected(g2)):
         raise PreconditionError("both graphs must be connected")
     return n

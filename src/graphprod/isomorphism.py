@@ -61,7 +61,6 @@ from .core import (
     PreconditionError,
     SizeLimitError,
     bits,
-    neighbor_lists,
     relabel,
 )
 
@@ -173,7 +172,9 @@ class _Partition:
                 self.cell2[y] = c
 
 
-def _fragments(splitter: int, adj: list[list[int]], cell: list[int]) -> dict[int, dict[int, int]]:
+def _fragments(
+    splitter: int, adj: Sequence[Sequence[int]], cell: list[int]
+) -> dict[int, dict[int, int]]:
     """For each cell touched by the neighbours of ``splitter``: count -> node mask.
 
     The count of a node is its number of neighbours in ``splitter``; nodes
@@ -195,10 +196,9 @@ def _fragments(splitter: int, adj: list[list[int]], cell: list[int]) -> dict[int
     return touched
 
 
-def _equitable_partition(
-    g1: Graph, g2: Graph, adj1: list[list[int]], adj2: list[list[int]]
-) -> _Partition | None:
+def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
     """The joint equitable partition seeded by (degree, loop); None on divergence."""
+    adj1, adj2 = g1.neighbors, g2.neighbors
     key1 = [(len(nbrs), (v, v) in g1.edges) for v, nbrs in enumerate(adj1)]
     key2 = [(len(nbrs), (v, v) in g2.edges) for v, nbrs in enumerate(adj2)]
     if Counter(key1) != Counter(key2):
@@ -220,7 +220,7 @@ def _equitable_partition(
     return part if part.refine(queue) else None
 
 
-def _processing_order(adj: list[list[int]], sizes: list[int]) -> list[int]:
+def _processing_order(adj: Sequence[Sequence[int]], sizes: list[int]) -> list[int]:
     """Most-constrained-first order that stays connected where possible.
 
     The next node is the unplaced frontier node (a neighbour of a placed
@@ -270,12 +270,11 @@ def are_isomorphic(
     if g1.edge_count != g2.edge_count or g1.loop_count != g2.loop_count:
         return None
 
-    adj1 = neighbor_lists(g1)
-    part = _equitable_partition(g1, g2, adj1, neighbor_lists(g2))
+    part = _equitable_partition(g1, g2)
     if part is None:
         return None
     cell1, members1, members2 = part.cell1, part.members1, part.members2
-    order = _processing_order(adj1, [members1[cell1[v]].bit_count() for v in range(n)])
+    order = _processing_order(g1.neighbors, [members1[cell1[v]].bit_count() for v in range(n)])
 
     mapping = [-1] * n
     start = [0] * n  # candidates below this node are already tried at each depth

@@ -36,11 +36,6 @@ class ProductKind(enum.Enum):
     LEXICOGRAPHIC = "lexicographic"
 
 
-def pair_index(u: int, v: int, n2: int) -> int:
-    """Row-major index of vertex pair (u, v) in a product with right order n2."""
-    return u * n2 + v
-
-
 def _norm(a: int, b: int) -> Edge:
     return (a, b) if a <= b else (b, a)
 

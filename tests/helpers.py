@@ -12,7 +12,6 @@ from collections import Counter, deque
 from itertools import permutations
 
 from graphprod import Graph, are_isomorphic, direct_product, disjoint_union, relabel
-from graphprod.core import neighbor_lists
 from graphprod.reduction import class_g_check
 
 # -- enumeration --------------------------------------------------------------
@@ -174,7 +173,7 @@ def color_refinement(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None
     point: that engine returned as soon as the first graph's coloring was
     discrete, without the last round that can still tell the graphs apart.
     """
-    adj1, adj2 = neighbor_lists(g1), neighbor_lists(g2)
+    adj1, adj2 = g1.neighbors, g2.neighbors
     colors1, colors2 = _recolor(
         [(len(adj1[v]), (v, v) in g1.edges) for v in range(g1.node_count)],
         [(len(adj2[v]), (v, v) in g2.edges) for v in range(g2.node_count)],

@@ -8,8 +8,8 @@ import textwrap
 
 import pytest
 
-from graphprod import parse_edge_list
-from graphprod.catalog import C5, NAMED, corpus_path, load_corpus_graph
+from graphprod import pad_to_class_g, parse_edge_list
+from graphprod.catalog import C3, C5, NAMED, corpus_path, load_corpus_graph
 from graphprod.cli import main
 
 
@@ -361,6 +361,14 @@ def test_classg_pad(capsys, tmp_path):
     assert "p=7 d=3" in out
     padded = parse_edge_list(target.read_text())
     assert padded.node_count == 7 and padded.edge_count == 13
+
+
+def test_classg_out_implies_pad(capsys, tmp_path):
+    target = tmp_path / "padded.el"
+    code, out, _ = run(capsys, "classg", "--out", str(target), path("c3"))
+    assert code == 0
+    assert "p=7 d=3" in out
+    assert parse_edge_list(target.read_text()) == pad_to_class_g(C3).padded
 
 
 def test_classg_pad_json(capsys):

@@ -25,6 +25,7 @@ from graphprod import (
     factorization_from_isomorphism,
     find_factorization,
     is_bipartite,
+    is_connected,
     is_isomorphism,
     is_prime_direct,
     isomorphism_from_union_factorization,
@@ -40,13 +41,13 @@ from graphprod.core import bits
 from graphprod.factorization import (
     I2_MATRIX,
     _FactorSearch,
-    _GraphView,
     _check_fixed_a,
     _left_factor,
     _left_factors,
     _permuters,
 )
 from graphprod.isomorphism import IsomorphismWitness
+from graphprod.skeleton import certifies_prime
 from graphprod.catalog import (
     C3,
     C4,
@@ -70,6 +71,7 @@ from helpers import (
     all_graphs,
     components_as_graphs,
     double_edge_swap,
+    is_r_thin,
     naive_factor_exists,
     random_class_g_graph,
     random_connected_graph,
@@ -404,7 +406,6 @@ def test_search_matches_every_exact_left_factor_in_order():
     # only the smallest row of each orbit first may change a witness
     for g in _differential_cases():
         n = g.node_count
-        view = _GraphView(g)
         for a in range(2, int(n**0.5) + 1):
             if n % a:
                 continue
@@ -412,13 +413,53 @@ def test_search_matches_every_exact_left_factor_in_order():
             expect = None
             for mat in _symmetric_matrices(a):
                 plain = _left_factor(mat, _permuters(a))[0]._replace(first_rows=tuple(range(a)))
-                expect = _FactorSearch(view, b, plain).run()
+                expect = _FactorSearch(g, b, plain).run()
                 assert factor_search(g, a, b, fixed_a=mat) == expect, (g, mat)
                 if expect is not None:
                     break
             assert factor_search(g, a, b) == expect, (g, a)
             if n <= 9:
                 assert (expect is not None) == naive_factor_exists(g, a, b), (g, a)
+
+
+def _first_split_witness(g):
+    n = g.node_count
+    for a in range(2, int(n**0.5) + 1):
+        if n % a == 0:
+            found = factor_search(g, a, n // a)
+            if found is not None:
+                return found
+    return None
+
+
+def test_find_factorization_returns_the_first_witness_over_the_splits():
+    # find_factorization searches each split through factor_search, in
+    # increasing left order, unless the certificate proves g prime first
+    for g in NAMED.values():
+        assert find_factorization(g) == _first_split_witness(g), g
+    rng = random.Random(41)
+    outcomes = set()
+    for n in (4, 6, 8, 9, 10, 12):
+        graphs = [random_graph(n, rng, edge_p=rng.uniform(0.2, 0.6), loop_p=0.3)
+                  for _ in range(20)]
+        for a in range(2, int(n**0.5) + 1):
+            if n % a == 0:
+                for _ in range(4):
+                    fa = random_graph(a, rng, edge_p=0.6, loop_p=0.5)
+                    fb = random_graph(n // a, rng, edge_p=0.5, loop_p=0.3)
+                    g = random_relabeling(direct_product(fa, fb), rng)
+                    graphs += [g, double_edge_swap(g, rng)]
+        for g in graphs:
+            if not (
+                is_connected(g)
+                and not is_bipartite(g)
+                and is_r_thin(g)
+                and certifies_prime(g.adjacency_masks)
+            ):
+                first = _first_split_witness(g)
+                assert find_factorization(g) == first, g
+                outcomes.add(first is None)
+    assert len(outcomes) == 2
 
 
 def test_completeness_exhaustive_order_4():
@@ -537,6 +578,16 @@ def test_union_preconditions_keep_their_messages(call, what):
     two = disjoint_union(K2, K2)
     with pytest.raises(PreconditionError, match="^both graphs must be connected$"):
         call(two, two)
+
+
+def test_size_and_emptiness_preconditions_raise_precondition_error():
+    for call in (
+        lambda: is_connected(Graph(0)),
+        lambda: isomorphism_from_union_factorization(C3, C4),
+        lambda: factorization_from_isomorphism(L1, L1, IsomorphismWitness((0,))),
+    ):
+        with pytest.raises(PreconditionError):
+            call()
 
 
 # -- isomorphism from a doubling factorization (reverse direction) ------------

@@ -184,6 +184,26 @@ def test_bipartition_returns_a_fresh_list():
     assert bipartition(C4) == [0, 1, 0, 1]
 
 
+def test_neighbors_match_a_set_based_reference():
+    rng = random.Random(21)
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    graphs += [
+        random_graph(rng.randint(5, 12), rng, edge_p=rng.uniform(0.1, 0.8), loop_p=0.3)
+        for _ in range(300)
+    ]
+    loops = 0
+    for g in graphs:
+        nbrs = g.neighbors
+        assert isinstance(nbrs, tuple) and len(nbrs) == g.node_count
+        for v, row in enumerate(nbrs):
+            assert isinstance(row, tuple)
+            assert v not in row  # a loop is not a neighbour
+            assert len(row) == len(set(row)), g  # each neighbour once
+            assert set(row) == {w for w in range(g.node_count) if w != v and g.has_edge(v, w)}
+        loops += g.loop_count
+    assert loops > 0
+
+
 def test_relabel_is_inverse_friendly():
     rng = random.Random(7)
     for _ in range(25):

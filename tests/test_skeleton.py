@@ -9,6 +9,7 @@ searches one split directly).
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -20,7 +21,7 @@ from graphprod import (
     is_bipartite,
     is_connected,
 )
-from graphprod import factorization
+from graphprod import core, factorization
 from graphprod.skeleton import cartesian_skeleton, certifies_prime
 
 from helpers import (
@@ -29,6 +30,7 @@ from helpers import (
     is_r_thin,
     naive_cartesian_product,
     naive_cartesian_skeleton,
+    random_bipartite_connected,
     random_connected_graph,
     random_graph,
     random_relabeling,
@@ -165,15 +167,23 @@ def test_the_certificate_runs_only_on_eligible_graphs(monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_view_and_one_bipartiteness_test_per_call(monkeypatch):
-    built, tested = [], []
-    view, bipartite = factorization._GraphView, factorization.is_bipartite
-    monkeypatch.setattr(factorization, "_GraphView", lambda g: built.append(g) or view(g))
-    monkeypatch.setattr(factorization, "is_bipartite", lambda g: tested.append(g) or bipartite(g))
-    # 12 nodes, so two splits (2 x 6 and 3 x 4), both searched: disjoint
-    # components of different sizes make it prime and keep the certificate out
-    path = {(v, v + 1) for v in range(5)} | {(0, 0)}
-    cycle = {(v, v + 1) for v in range(6, 11)} | {(6, 11)}
-    g = Graph(12, frozenset(path | cycle))
+def test_per_graph_data_is_derived_once_per_call(monkeypatch):
+    built, walked, searched = [], [], []
+    neighbors = Graph.neighbors.func
+    counted = cached_property(lambda g: built.append(g) or neighbors(g))
+    counted.__set_name__(Graph, "neighbors")
+    monkeypatch.setattr(Graph, "neighbors", counted)
+    walk = core.breadth_first
+    monkeypatch.setattr(core, "breadth_first", lambda masks: walked.append(masks) or walk(masks))
+    search = factorization.factor_search
+    monkeypatch.setattr(
+        factorization,
+        "factor_search",
+        lambda g, a, b, **kw: searched.append((a, b)) or search(g, a, b, **kw),
+    )
+    # a bipartite prime of 12 nodes, so the certificate stays out and both
+    # splits (2 x 6 and 3 x 4) run searches that place vertices
+    g = random_bipartite_connected(12, random.Random(1))
     assert find_factorization(g) is None
-    assert len(built) == len(tested) == 1
+    assert searched == [(2, 6), (3, 4)]
+    assert built == [g] and walked == [g.adjacency_masks]
