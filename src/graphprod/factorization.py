@@ -57,12 +57,13 @@ Vertices are placed component by component in breadth-first order.
 :func:`find_factorization` searches each divisor split, in increasing left
 order, through :func:`factor_search`.  Before the first split it asks
 :func:`graphprod.skeleton.certifies_prime` for a polynomial proof of
-primality, from the Cartesian skeleton of g, when g is connected,
-nonbipartite and R-thin (no two vertices share a neighbourhood).  The
-certificate is sound (the argument is in that module), so it only prunes:
-a certified graph has no witness to miss, and any other graph is searched
-exactly as before, so no witness changes.  Twins, bipartite and
-disconnected inputs, and every :func:`factor_search` call, always search.
+primality when g is connected and nonbipartite.  The certificate runs on
+the quotient g/R, which merges vertices with equal neighbourhoods (twins),
+and reads the Cartesian skeleton of that quotient.  It is sound (the
+argument is in that module), so it only prunes: a certified graph has no
+witness to miss, and any other graph is searched exactly as before, so no
+witness changes.  Bipartite and disconnected inputs, and every
+:func:`factor_search` call, always search.
 
 Searches are deterministic: identical inputs explore candidates in the same
 order and return identical witnesses.
@@ -428,9 +429,9 @@ def factor_search(
     """
     _check_node_limit(g, node_limit)
     if a < 2 or b < 2 or a > b:
-        raise ValueError("factor orders must satisfy 2 <= a <= b")
+        raise PreconditionError("factor orders must satisfy 2 <= a <= b")
     if a * b != g.node_count:
-        raise ValueError(f"{a} * {b} != {g.node_count} nodes")
+        raise PreconditionError(f"{a} * {b} != {g.node_count} nodes")
     if fixed_a is not None:
         left = _left_factor(_check_fixed_a(fixed_a, a), _permuters(a))[0]
         return _FactorSearch(g, b, left).run()
@@ -460,12 +461,10 @@ def find_factorization(
     splits = _divisor_pairs(g.node_count)
     if not splits:
         return None
-    masks = g.adjacency_masks
     if (
         not is_bipartite(g)
         and len(g.traversal.starts) == 1
-        and len(set(masks)) == len(masks)  # R-thin
-        and certifies_prime(masks)
+        and certifies_prime(g.adjacency_masks)
     ):
         return None
     for a, b in splits:
@@ -596,7 +595,7 @@ def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
     require_class_g(g1, "first graph")
     require_class_g(g2, "second graph")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
-        raise ValueError("elimination requires equal node and edge counts")
+        raise PreconditionError("elimination requires equal node and edge counts")
     survivors = two_block_survivors(g1, g2)
     if I2_MATRIX not in survivors:
         raise InternalError("the counting filters eliminated the identity left factor")

@@ -2,10 +2,12 @@
 
 Connected nonbipartite graphs factor uniquely under the direct product, in
 polynomial time (Imrich 1998).  This module implements the part of that
-route a prime verdict needs: it proves some connected, nonbipartite, R-thin
-graphs prime without any factor search.  A graph is R-thin when no two of
-its vertices have equal neighbourhoods.  N(x) is the open neighbourhood,
-which holds x itself when x carries a loop.
+route a prime verdict needs: it proves some connected nonbipartite graphs
+prime without any factor search.  N(x) is the open neighbourhood, which
+holds x itself when x carries a loop.  R is the relation "equal
+neighbourhoods", and a graph is R-thin when its R-classes are singletons.
+The quotient G/R has one vertex per R-class, and two classes are adjacent
+when their members are.
 
 The Cartesian skeleton S(G) (Hammack & Imrich, "On Cartesian skeletons of
 graphs", Ars Math. Contemp. 2, 2009) starts from the Boolean square: the
@@ -27,9 +29,10 @@ Theory 16, 1992) is the closure of two relations:
   neighbourhood N[x] is adjacent to both;
 * Θ relates edges xy and uv when d(x, u) + d(y, v) ≠ d(x, v) + d(y, u).
 
-:func:`certifies_prime` builds S(G), checks it is connected, and joins its
-edges under τ and then, only while more than one class is left, under Θ.
-One class means G is prime.
+:func:`certifies_prime` takes G to G/R, which is G itself when G is R-thin.
+It builds S(G/R), checks it is connected, and joins its edges under τ and
+then, only while more than one class is left, under Θ.  G is prime when one
+class remains and the sizes of G's R-classes have greatest common divisor 1.
 
 Why this is sound.  Suppose G = A × B with |A|, |B| >= 2.  A direct product
 is connected only if both factors are, and bipartite if either factor is,
@@ -46,9 +49,27 @@ d_B measure between the A and the B coordinates.  For an A-edge xy and a
 B-edge uv both sides of the Θ condition equal
 d_A(x, u) + d_A(y, u) + d_B(x, u) + d_B(x, v), so Θ never relates them
 either.  The closure of Θ ∪ τ keeps the A-edges and the B-edges apart, and
-at least two classes remain.  So one class proves G prime.  The converse
-fails: a prime graph may leave several classes, and then nothing is
-claimed.
+at least two classes remain.  So one class proves an R-thin G prime.  The
+converse fails: a prime graph may leave several classes, and then nothing
+is claimed.
+
+Why the quotient is sound.  Let G be connected and nonbipartite, and
+suppose G = A × B as above.  As N_G((a, b)) = N_A(a) × N_B(b) with both
+sides nonempty, two vertices of G are twins exactly when their coordinates
+are twins in A and in B.  So the R-classes of G are the products of the
+R-classes of A and of B, and G/R ≅ A/R × B/R.  G/R is connected (a quotient
+keeps every walk) and nonbipartite (an odd closed walk of G maps to one of
+G/R); its R-classes are singletons, since N(x) is a union of R-classes and
+so is read off the neighbourhood of x's class.  That is the precondition
+of the argument above.  If S(G/R) leaves one class, G/R is prime, so one
+quotient, say B/R, is a single vertex: all of B's vertices are twins.  A
+connected B with b >= 2 vertices whose vertices are all twins is K_b with a
+loop on every vertex (each vertex is adjacent to some y, so it lies in
+N(y), which is every vertex's neighbourhood).  Then every R-class of G is
+a class of A times all of B, so b divides every class size and their
+greatest common divisor is at least 2.  Hence one class together with a
+greatest common divisor of 1 proves G prime.  C5 × (K2 with loops) shows
+the divisor test is needed: its quotient is C5, which is prime.
 
 The certificate only prunes: :func:`graphprod.factorization.find_factorization`
 sends every graph it does not certify to the exhaustive search.
@@ -60,6 +81,7 @@ of ``masks[v]`` is set when v and w are adjacent.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 
 from .core import bits, breadth_first
 
@@ -75,7 +97,8 @@ def cartesian_skeleton(masks: Sequence[int]) -> list[int]:
     and xy is dispensable iff some z has c ⊆ N(z) with N(z) meeting both
     N(x) - c and N(y) - c.  Either way z ranges over the vertices whose
     neighbourhood holds c, those in N(w) for every w in c.  The loops walk
-    set bits by hand: this runs before every factor search.
+    set bits by hand: this runs on the quotient of every connected
+    nonbipartite graph before its factor search.
     """
     n = len(masks)
     out = [0] * n
@@ -122,14 +145,23 @@ def cartesian_skeleton(masks: Sequence[int]) -> list[int]:
 
 
 def certifies_prime(masks: Sequence[int]) -> bool:
-    """True if the skeleton proves G prime; False claims nothing.
+    """True if the skeleton of G/R proves G prime; False claims nothing.
 
-    ``masks`` must describe a connected, nonbipartite, R-thin graph G; the
-    caller checks that (the module docstring says why it matters).
+    ``masks`` must describe a connected nonbipartite graph G; the caller
+    checks that (the module docstring says why it matters).  When the sizes
+    of G's R-classes have a common divisor above 1 nothing is claimed.
     """
+    classes: dict[int, list[int]] = {}  # neighbourhood -> its vertices
+    for v, mask in enumerate(masks):
+        classes.setdefault(mask, []).append(v)
+    if len(classes) < len(masks):
+        if gcd(*map(len, classes.values())) != 1:
+            return False
+        reps = [members[0] for members in classes.values()]
+        masks = [sum(1 << i for i, r in enumerate(reps) if mask >> r & 1) for mask in classes]
     s = cartesian_skeleton(masks)
     n = len(s)
-    if len(breadth_first(s).starts) != 1:  # S(G) must be connected
+    if len(breadth_first(s).starts) != 1:  # S(G/R) must be connected
         return False
     ends = [(u, v) for u in range(n) for v in bits(s[u] & -(2 << u))]
     if len(ends) < 2:

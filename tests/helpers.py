@@ -251,6 +251,18 @@ def is_r_thin(g: Graph) -> bool:
     return len({frozenset(w for w in range(n) if g.has_edge(v, w)) for v in range(n)}) == n
 
 
+def blow_up(g: Graph, sizes) -> Graph:
+    """Replace node v by sizes[v] twins: copies of u and w are adjacent when u and w are.
+
+    The copies of a looped node form a clique with a loop on every node.
+    """
+    copies, start = [], 0
+    for size in sizes:
+        copies.append(range(start, start + size))
+        start += size
+    return Graph(start, frozenset((x, y) for u, w in g.edges for x in copies[u] for y in copies[w]))
+
+
 def naive_factor_exists(g: Graph, a: int, b: int) -> bool:
     """Enumerate every factor pair (A, B) and test direct(A, B) ~ g."""
     nz = g.nonzero_count

@@ -1,9 +1,9 @@
 """The Cartesian-skeleton prime certificate against independent references.
 
 The skeleton is checked against its set-based definition and against the
-identity S(A x B) = S(A) [] S(B); the certificate is checked against the
-exhaustive factor search, which never consults it (``factor_search``
-searches one split directly).
+identity S(A x B) = S(A) [] S(B); the certificate, which reads the quotient
+G/R of a graph with twins, is checked against the exhaustive factor search,
+which never consults it (``factor_search`` searches one split directly).
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ from graphprod import (
     find_factorization,
     is_bipartite,
     is_connected,
+    witness_is_valid,
 )
 from graphprod import core, factorization
+from graphprod.catalog import C5, NAMED, add_loops, complete_graph
 from graphprod.skeleton import cartesian_skeleton, certifies_prime
 
 from helpers import (
     all_connected_graphs,
+    blow_up,
     double_edge_swap,
     is_r_thin,
     naive_cartesian_product,
@@ -38,8 +41,13 @@ from helpers import (
 
 
 def _eligible(g: Graph) -> bool:
-    """The certificate's precondition: connected, nonbipartite and R-thin."""
-    return is_connected(g) and not is_bipartite(g) and is_r_thin(g)
+    """The certificate's precondition: connected and nonbipartite."""
+    return is_connected(g) and not is_bipartite(g)
+
+
+def _looped_clique(b: int) -> Graph:
+    """K_b with a loop on every node: all its nodes are twins."""
+    return add_loops(complete_graph(b), range(b))
 
 
 def _skeleton(g: Graph) -> Graph:
@@ -58,10 +66,11 @@ def _exhaustively_prime(g: Graph) -> bool:
 
 
 def _eligible_factor(n: int, rng: random.Random) -> Graph:
+    """A connected nonbipartite R-thin graph: S(A x B) = S(A) [] S(B) needs R-thin factors."""
     while True:
         extra_p, loop_p = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.6)
         g = random_connected_graph(n, rng, extra_p=extra_p, loop_p=loop_p)
-        if _eligible(g):
+        if _eligible(g) and is_r_thin(g):
             return g
 
 
@@ -98,13 +107,48 @@ def test_no_planted_product_is_certified_prime():
     assert eligible >= 50
 
 
+def test_no_product_with_a_looped_clique_or_a_common_class_size_is_certified():
+    # every R-class size of these graphs is a multiple of b >= 2, so they are
+    # composite: A x (K_b with loops), or a blow-up of A by multiples of b,
+    # which is (A blown up by the quotients) x (K_b with loops)
+    rng = random.Random(5)
+    eligible = quotient_certified = 0
+    for i in range(200):
+        fa = random_connected_graph(rng.randint(2, 6), rng, loop_p=rng.uniform(0.1, 0.6))
+        b = rng.randint(2, 3)
+        if i % 2:
+            g = direct_product(fa, _looped_clique(b))
+        else:
+            g = blow_up(fa, [b * rng.randint(1, 2) for _ in range(fa.node_count)])
+        g = random_relabeling(g, rng)
+        if _eligible(g):
+            eligible += 1
+            # without the divisor test these would be certified from fa's quotient
+            quotient_certified += certifies_prime(fa.adjacency_masks)
+            assert not certifies_prime(g.adjacency_masks), (fa, b)
+            if g.node_count <= 12:
+                w = find_factorization(g, node_limit=None)
+                assert w is not None and witness_is_valid(g, w), (fa, b)
+    assert eligible >= 150 and quotient_certified >= 120
+
+
 def test_every_certified_order_4_graph_is_prime():
-    certified = 0
+    certified = with_twins = 0
     for g in all_connected_graphs(4):
         if _eligible(g) and certifies_prime(g.adjacency_masks):
             certified += 1
+            with_twins += not is_r_thin(g)
             assert _exhaustively_prime(g), g
-    assert certified > 0
+    assert certified > with_twins >= 100
+
+
+def test_every_certified_corpus_graph_is_prime():
+    certified = 0
+    for g in NAMED.values():
+        if g.node_count and _eligible(g) and certifies_prime(g.adjacency_masks):
+            certified += 1
+            assert _exhaustively_prime(g), g
+    assert certified >= 5
 
 
 def test_every_certified_random_graph_is_prime():
@@ -116,6 +160,25 @@ def test_every_certified_random_graph_is_prime():
             certified += 1
             assert _exhaustively_prime(g), g
     assert certified >= 30
+
+
+def test_every_certified_graph_with_planted_twins_is_prime():
+    # random connected graphs of 6-13 nodes, 1-3 of them copies of another
+    # node's neighbourhood (a copy of a looped node is looped and adjacent to it)
+    rng = random.Random(6)
+    certified = 0
+    for _ in range(150):
+        n, k = rng.randint(6, 13), rng.randint(1, 3)
+        fa = random_connected_graph(n - k, rng, extra_p=rng.uniform(0.1, 0.6), loop_p=0.3)
+        sizes = [1] * (n - k)
+        for _ in range(k):
+            sizes[rng.randrange(n - k)] += 1
+        g = random_relabeling(blow_up(fa, sizes), rng)
+        assert not is_r_thin(g)
+        if _eligible(g) and certifies_prime(g.adjacency_masks):
+            certified += 1
+            assert _exhaustively_prime(g), g
+    assert certified >= 120
 
 
 @pytest.mark.parametrize("a, b", [(2, 6), (3, 4), (2, 8)])
@@ -133,38 +196,62 @@ def test_every_certified_near_composite_is_prime(a, b):
     assert certified >= 5
 
 
-def _refuse_to_search(self):
+def _refuse_to_search(*_args, **_kwargs):
     raise AssertionError("the exhaustive search ran")
 
 
 def test_a_25_node_near_composite_is_certified_without_search(monkeypatch):
-    # a 5x5 one-swap near-composite; the exhaustive search on this shape has
-    # run for minutes without a verdict
+    # an R-thin 5x5 one-swap near-composite; the exhaustive search on this
+    # shape has run for minutes without a verdict
     rng = random.Random(55)
     while True:
         g = direct_product(random_connected_graph(5, rng), random_connected_graph(5, rng))
         g = random_relabeling(double_edge_swap(g, rng), rng)
-        if _eligible(g):
+        if _eligible(g) and is_r_thin(g):
             break
     monkeypatch.setattr(factorization._FactorSearch, "run", _refuse_to_search)
     assert find_factorization(g, node_limit=None) is None
 
 
-def test_the_certificate_runs_only_on_eligible_graphs(monkeypatch):
-    calls = []
+def test_a_24_node_near_composite_with_twins_is_certified_without_search(monkeypatch):
+    # a 4x6 one-swap near-composite with twins; before the quotient step the
+    # exhaustive search on such primes took up to seconds
+    rng = random.Random(321)
+    while True:
+        g = direct_product(random_connected_graph(4, rng), random_connected_graph(6, rng))
+        g = random_relabeling(double_edge_swap(g, rng), rng)
+        if _eligible(g) and not is_r_thin(g):
+            break
+    monkeypatch.setattr(factorization, "factor_search", _refuse_to_search)
+    assert find_factorization(g, node_limit=None) is None
+
+
+def test_the_certificate_runs_on_connected_nonbipartite_graphs(monkeypatch):
+    calls = []  # (masks, verdict) per certificate call
     certify = factorization.certifies_prime
-    monkeypatch.setattr(
-        factorization, "certifies_prime", lambda masks: calls.append(masks) or certify(masks)
-    )
+
+    def record(masks):
+        calls.append((masks, certify(masks)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(factorization, "certifies_prime", record)
     c5 = {(v, (v + 1) % 5) for v in range(5)}
-    twins = Graph(6, frozenset(c5 | {(1, 5), (4, 5)}))  # nodes 0 and 5 are twins
     path = Graph(6, frozenset((v, v + 1) for v in range(5)))  # bipartite
     disconnected = Graph(6, frozenset({(0, 0), (0, 1), (1, 2), (3, 3), (3, 4), (4, 5)}))
-    for g in (twins, path, disconnected):
+    for g in (path, disconnected):
         find_factorization(g)
     assert calls == []
+    twins = Graph(6, frozenset(c5 | {(1, 5), (4, 5)}))  # nodes 0 and 5 are twins
+    assert find_factorization(twins) is None
+    assert calls == [(twins.adjacency_masks, True)]  # certified from its quotient C5
     find_factorization(Graph(6, frozenset(c5 | {(0, 5)})))  # C5 with a pendant node
-    assert len(calls) == 1
+    assert len(calls) == 2
+    # R-classes of size 2 and a quotient C5 that is certified prime: the
+    # divisor test keeps this composite from being certified
+    doubled = direct_product(C5, _looped_clique(2))
+    w = find_factorization(doubled)
+    assert calls[2:] == [(doubled.adjacency_masks, False)]
+    assert w is not None and witness_is_valid(doubled, w)
 
 
 def test_per_graph_data_is_derived_once_per_call(monkeypatch):
