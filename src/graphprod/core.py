@@ -157,7 +157,7 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     """Apply a node bijection: node v of ``g`` becomes ``mapping[v]``."""
     n = g.node_count
     if len(mapping) != n or sorted(mapping) != list(range(n)):
-        raise ValueError("mapping must be a permutation of 0..n-1")
+        raise PreconditionError("mapping must be a permutation of 0..n-1")
     return Graph(n, frozenset((mapping[u], mapping[v]) for u, v in g.edges))
 
 
@@ -233,7 +233,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     """Subgraph on ``nodes``, renumbered by their position in the sequence."""
     index = {v: i for i, v in enumerate(nodes)}
     if len(index) != len(nodes):
-        raise ValueError("nodes must be distinct")
+        raise PreconditionError("nodes must be distinct")
     edges = {
         (index[u], index[v])
         for u, v in g.edges

@@ -10,9 +10,17 @@ order, the first matrix not yet seen is the smallest of its class, the one
 Read's orderly generation picks (Ann. Discrete Math. 2, 1978); one pass
 over its a! row permutations marks the class as seen and gives the orbits
 of Aut(A) on rows.  Counting filters on the records discard most classes
-before any search runs: nnz(A) must divide nnz(g), loop counts must factor
-likewise, a zero row of A forces isolated vertices g may not have, and a
-bipartite A cannot produce a nonbipartite g.  Two symmetry rules follow:
+before any engine is built: loop counts must factor, a bipartite A cannot
+produce a nonbipartite g, and row sums must multiply out.  Vertex (r, c)
+of A (x) B has row sum rowsum_A(r) * rowsum_B(c), so g's row sums must be
+the multiset {ar * s}, with ar over A's row sums and s over some multiset S
+of b values in 0..b.  One greedy peel decides this exactly: each zero row
+of A takes b zeros, and then the smallest sum left must be low * min(S),
+with low the smallest nonzero row sum of A, so it fixes the next s and the
+products it forces (the proof is in :func:`_row_sums_factor`).  The rule
+implies the older totals: nnz(g) = nnz(A) * sum(S) with sum(S) <= b * b,
+and a zero row of A needs b isolated vertices in g.  Two symmetry rules
+follow:
 
 * only the smallest bitmask of each isomorphism class is searched;
 * the first vertex placed tries only the smallest row of each orbit of
@@ -167,10 +175,10 @@ def _check_fixed_a(fixed_a, a: int) -> Matrix:
         or any(len(row) != a for row in rows)
         or any(_axis(x) for row in rows for x in row)  # a third axis
     ):
-        raise ValueError(f"fixed_a must be a {a}x{a} matrix")
+        raise PreconditionError(f"fixed_a must be a {a}x{a} matrix")
     cells = tuple(tuple(1 if x == 1 else 0 if x == 0 else -1 for x in row) for row in rows)
     if any(cells[i][j] < 0 or cells[i][j] != cells[j][i] for i in range(a) for j in range(a)):
-        raise ValueError("fixed_a must be a symmetric 0/1 matrix")
+        raise PreconditionError("fixed_a must be a symmetric 0/1 matrix")
     return cells
 
 
@@ -202,9 +210,7 @@ class _LeftFactor(NamedTuple):
 
     cells: Matrix
     first_rows: tuple[int, ...]  # the smallest row of each orbit of Aut(A) on rows
-    nonzeros: int
     loops: int
-    zero_rows: int
     bipartite: bool
     rowsums: tuple[int, ...]
     linked: tuple[tuple[int, ...], ...]  # linked[r]: the rows s with A[r][s] = 1
@@ -226,9 +232,7 @@ def _left_factor(cells: Matrix, permuters: list) -> tuple[_LeftFactor, set[tuple
     record = _LeftFactor(
         cells,
         first_rows,
-        sum(rowsums),
         loops,
-        rowsums.count(0),
         breadth_first(masks).coloring is not None,
         rowsums,
         tuple(tuple(s for s in range(a) if row[s]) for row in cells),
@@ -251,22 +255,60 @@ def _left_factors(a: int) -> tuple[_LeftFactor, ...]:
     return tuple(out)
 
 
-def _left_factor_feasible(left: _LeftFactor, g: Graph, g_bipartite: bool) -> bool:
-    """Necessary counting conditions for g = A (x) B with this left factor."""
-    b = g.node_count // len(left.cells)
-    nz_a, loops_a = left.nonzeros, left.loops
-    nz_g = g.nonzero_count
-    if nz_g > 0 and (nz_a == 0 or nz_g % nz_a != 0 or nz_g // nz_a > b * b):
+def _row_sums_factor(sums: Sequence[int], a_rowsums: Sequence[int], b: int) -> bool:
+    """Whether the ascending row sums ``sums`` are the multiset {ar * s}.
+
+    Here ar runs over ``a_rowsums`` and s over some multiset S of b values in
+    0..b: exactly the row sums of A (x) B for some B of order b, since vertex
+    (r, c) of the product has row sum rowsum_A(r) * rowsum_B(c).
+
+    The peel is exact.  Each zero row of A gives b zeros whatever S is, so
+    those are taken first.  What remains is {ar * s} over the nonzero ar,
+    and its smallest element is low * min(S), with low the smallest nonzero
+    ar, because ar * s >= low * s >= low * min(S) for each pair.  So the
+    smallest value m left fixes s = m / low, which must be an integer of at
+    most b, and the products ar * s over every nonzero row of A must all be
+    present; removing them leaves the same question for S without s.  Every
+    step is forced, so the peel fails only when no S exists, and a peel that
+    consumes every sum builds S.
+    """
+    count: dict[int, int] = {}
+    for m in sums:
+        count[m] = count.get(m, 0) + 1
+    nonzero = [ar for ar in a_rowsums if ar]
+    count[0] = count.get(0, 0) - (len(a_rowsums) - len(nonzero)) * b
+    if count[0] < 0:
         return False
-    loops_g = g.loop_count
+    for m in sums:  # ascending, so a value still left is the smallest one left
+        if count[m]:
+            # if low does not divide m, low * s < m is used up and fails below
+            s = m // min(nonzero)
+            if s > b:
+                return False
+            for ar in nonzero:
+                if not count.get(ar * s):
+                    return False
+                count[ar * s] -= 1
+    return True
+
+
+def _left_factor_feasible(
+    left: _LeftFactor, g: Graph, g_bipartite: bool, sums: Sequence[int]
+) -> bool:
+    """Necessary conditions for g = A (x) B with this left factor.
+
+    ``sums`` is g's row sums in ascending order.
+    """
+    b = g.node_count // len(left.cells)
+    loops_a, loops_g = left.loops, g.loop_count
     if loops_g > 0 and loops_a == 0:
         return False
     if loops_a > 0 and (loops_g % loops_a != 0 or loops_g // loops_a > b):
         return False
-    if left.zero_rows * b > g.adjacency_masks.count(0):  # isolated vertices
-        return False
     # a bipartite left factor only produces bipartite products
-    return g_bipartite or nz_g == 0 or not left.bipartite
+    if left.bipartite and not g_bipartite:
+        return False
+    return _row_sums_factor(sums, left.rowsums, b)
 
 
 class _FactorSearch:
@@ -436,8 +478,9 @@ def factor_search(
         left = _left_factor(_check_fixed_a(fixed_a, a), _permuters(a))[0]
         return _FactorSearch(g, b, left).run()
     g_bipartite = is_bipartite(g)
+    sums = sorted(mask.bit_count() for mask in g.adjacency_masks)
     for left in _left_factors(a):
-        if _left_factor_feasible(left, g, g_bipartite):
+        if _left_factor_feasible(left, g, g_bipartite, sums):
             found = _FactorSearch(g, b, left).run()
             if found is not None:
                 return found
@@ -512,7 +555,7 @@ def factorization_from_isomorphism(
     """
     n = _require_connected_pair(g1, g2, "doubling factorization")
     if not is_isomorphism(g1, g2, witness.mapping):
-        raise ValueError("witness is not an isomorphism from g1 to g2")
+        raise PreconditionError("witness is not an isomorphism from g1 to g2")
     inverse = [0] * n
     for src, dst in enumerate(witness.mapping):
         inverse[dst] = src

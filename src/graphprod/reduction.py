@@ -125,7 +125,7 @@ def div2div3_offset(t: int) -> int:
 def prime_in_bertrand_range(n: int) -> int:
     """Smallest prime p with 2n < p < 4n (exists for every n >= 2)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise PreconditionError("need n >= 2")
     for p in range(2 * n + 1, 4 * n):
         if is_prime_int(p):
             return p

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from graphprod import (
     factor_search,
     factorization_from_isomorphism,
     find_factorization,
+    graph_isomorphism_via_compositeness,
     is_bipartite,
     is_connected,
     is_isomorphism,
@@ -43,8 +44,10 @@ from graphprod.factorization import (
     _FactorSearch,
     _check_fixed_a,
     _left_factor,
+    _left_factor_feasible,
     _left_factors,
     _permuters,
+    _row_sums_factor,
 )
 from graphprod.isomorphism import IsomorphismWitness
 from graphprod.skeleton import certifies_prime
@@ -55,6 +58,7 @@ from graphprod.catalog import (
     C5_LOOP,
     FIG3_G1,
     FIG3_G2,
+    K1_3,
     K1_4,
     K2,
     L1,
@@ -62,12 +66,14 @@ from graphprod.catalog import (
     P3,
     P3_END_LOOP,
     P3_MID_LOOP,
+    P4,
     add_loops,
     cycle_graph,
     star_graph,
 )
 
 from helpers import (
+    all_connected_graphs,
     all_graphs,
     components_as_graphs,
     double_edge_swap,
@@ -307,17 +313,132 @@ def test_per_matrix_counts_match_the_graph_of_each_matrix(a):
         edges = frozenset((i, j) for i in range(a) for j in range(i, a) if mat[i][j])
         g = Graph(a, edges)
         left = _left_factor(mat, _permuters(a))[0]
-        assert (left.nonzeros, left.loops, left.zero_rows, left.bipartite) == (
-            g.nonzero_count,
-            g.loop_count,
-            sum(1 for row in mat if not any(row)),
-            is_bipartite(g),
-        ), mat
+        assert (left.loops, left.bipartite) == (g.loop_count, is_bipartite(g)), mat
         masks = g.adjacency_masks
         assert left.rowsums == tuple(m.bit_count() for m in masks), mat
         assert left.linked == tuple(tuple(bits(m)) for m in masks), mat
         full = (1 << a) - 1
         assert left.unlinked == tuple(tuple(bits(full & ~m)) for m in masks), mat
+
+
+# -- the row-sum product test, against brute force and against the engine ------
+
+
+def _matrix_graph(mat):
+    a = len(mat)
+    return Graph(a, frozenset((i, j) for i in range(a) for j in range(i, a) if mat[i][j]))
+
+
+def _sorted_rowsums(g):
+    return sorted(m.bit_count() for m in g.adjacency_masks)
+
+
+def test_row_sums_factor_matches_brute_force_over_every_multiset():
+    rng = random.Random(1313)
+    accepted = rejected = 0
+    for a in (1, 2, 3):
+        for a_rowsums in product(range(a + 1), repeat=a):
+            for b in (1, 2, 3, 4):
+                reachable = {
+                    tuple(sorted(ar * s for ar in a_rowsums for s in multiset))
+                    for multiset in combinations_with_replacement(range(b + 1), b)
+                }
+                n = a * b
+                for _ in range(12):
+                    planted = sorted(ar * rng.randint(0, b) for ar in a_rowsums for _ in range(b))
+                    bumped = list(planted)
+                    i = rng.randrange(n)
+                    bumped[i] += rng.choice((-1, 1)) if bumped[i] else 1
+                    noise = [rng.randint(0, a * b) for _ in range(n)]
+                    for sums in (planted, sorted(bumped), sorted(noise)):
+                        want = tuple(sums) in reachable
+                        assert _row_sums_factor(sums, a_rowsums, b) == want, (sums, a_rowsums, b)
+                        accepted += want
+                        rejected += not want
+    assert accepted >= 1000 and rejected >= 1000
+
+
+def test_every_planted_product_passes_the_left_factor_filters():
+    # B with loops, B with an isolated vertex and B with no edges at all
+    rng = random.Random(1414)
+    for a in (2, 3, 4):
+        for left in _left_factors(a):
+            fa = _matrix_graph(left.cells)
+            for b in (2, 3, 4):
+                part = random_graph(b - 1, rng, edge_p=0.6, loop_p=0.5)
+                for fb in (random_graph(b, rng, loop_p=0.5), Graph(b, part.edges), Graph(b)):
+                    g = random_relabeling(direct_product(fa, fb), rng)
+                    sums = _sorted_rowsums(g)
+                    assert _row_sums_factor(sums, left.rowsums, b), (left.cells, fb)
+                    assert _left_factor_feasible(left, g, is_bipartite(g), sums), (left.cells, fb)
+
+
+def _criterion_7_unions(rng, count):
+    """Unions of padded equal-count pairs of connected 3- and 4-node graphs."""
+    graphs = [g for n in (3, 4) for g in all_connected_graphs(n)]
+    while count:
+        g1, g2 = rng.choice(graphs), rng.choice(graphs)
+        if g1.node_count == g2.node_count and g1.edge_count == g2.edge_count:
+            count -= 1
+            yield disjoint_union(pad_to_class_g(g1).padded, pad_to_class_g(g2).padded)
+
+
+def test_every_left_factor_the_row_sums_reject_has_no_witness():
+    rng = random.Random(1515)
+    graphs = list(_criterion_7_unions(rng, 40))
+    for n in (4, 6, 8, 9, 10, 12):
+        graphs += [random_graph(n, rng, edge_p=rng.uniform(0.2, 0.7)) for _ in range(15)]
+        for a in range(2, int(n**0.5) + 1):
+            if n % a == 0:
+                for _ in range(5):
+                    fa = random_graph(a, rng, edge_p=0.6, loop_p=0.5)
+                    fb = random_graph(n // a, rng, edge_p=0.5, loop_p=0.3)
+                    g = random_relabeling(direct_product(fa, fb), rng)
+                    # a hopeless search on a 12-node near-composite can take seconds
+                    graphs.append(double_edge_swap(g, rng) if n <= 10 else g)
+    rejected = 0
+    for g in graphs:
+        n = g.node_count
+        sums = _sorted_rowsums(g)
+        for a in range(2, int(n**0.5) + 1):
+            if n % a:
+                continue
+            for left in _left_factors(a):
+                if not _row_sums_factor(sums, left.rowsums, n // a):
+                    rejected += 1
+                    assert _FactorSearch(g, n // a, left).run() is None, (g, left.cells)
+    assert rejected >= 1000
+
+
+def test_the_row_sum_prune_pins_the_engines_built(monkeypatch):
+    # a lost prune builds more engines: without the row-sum test these two
+    # input sets build 308 and 386
+    built = []
+    init = _FactorSearch.__init__
+    monkeypatch.setattr(
+        _FactorSearch, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    three = list(all_connected_graphs(3))
+    for g1 in three:
+        for g2 in three:
+            if g1.edge_count == g2.edge_count:
+                graph_isomorphism_via_compositeness(g1, g2, search_oracle)
+    assert len(built) == 176
+    built.clear()
+    four = list(all_connected_graphs(4))
+    rng = random.Random(4)
+    pairs = 0
+    while pairs < 300:
+        g1, g2 = rng.choice(four), rng.choice(four)
+        if g1.edge_count == g2.edge_count:
+            pairs += 1
+            graph_isomorphism_via_compositeness(g1, g2, search_oracle)
+    assert len(built) == 102
+    # equal counts, unequal degree multisets: no left factor gets an engine
+    built.clear()
+    union = disjoint_union(pad_to_class_g(P4).padded, pad_to_class_g(K1_3).padded)
+    assert search_oracle(union) is False
+    assert built == []
 
 
 # -- fixed_a validation: the table pins the results of numpy.asarray parsing ----
@@ -380,7 +501,7 @@ def test_fixed_a_accepted(fixed_a, cells):
     ],
 )
 def test_fixed_a_rejected(fixed_a):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^fixed_a must be a "):
         factor_search(direct_product(K2, C3), 2, 3, fixed_a=fixed_a)
 
 
@@ -542,9 +663,10 @@ def test_forward_path_reversal():
 
 
 def test_forward_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    not_an_isomorphism = "^witness is not an isomorphism from g1 to g2$"
+    with pytest.raises(PreconditionError, match=not_an_isomorphism):
         factorization_from_isomorphism(C3, C3, IsomorphismWitness((0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match=not_an_isomorphism):
         factorization_from_isomorphism(P3_END_LOOP, P3_MID_LOOP, IsomorphismWitness((0, 1, 2)))
     with pytest.raises(PreconditionError):
         factorization_from_isomorphism(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphprod import (
     EdgeListParseError,
     Graph,
+    PreconditionError,
     adjacency_matrix,
     bipartition,
     connected_components,
@@ -147,6 +148,8 @@ def test_connected_components_and_induced_subgraph():
     assert comps == [[0, 1, 2], [3, 4]]
     sub = induced_subgraph(u, comps[1])
     assert sub == add_loops(K2, [1])
+    with pytest.raises(PreconditionError, match="^nodes must be distinct$"):
+        induced_subgraph(u, [3, 3])
 
 
 def _multi_component_graphs(rng, count=300, max_nodes=12):
@@ -214,7 +217,7 @@ def test_relabel_is_inverse_friendly():
         for i, p in enumerate(perm):
             inv[p] = i
         assert relabel(relabel(g, perm), inv) == g
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match=r"^mapping must be a permutation of 0\.\.n-1$"):
         relabel(K2, [0, 0])
 
 

@@ -120,7 +120,7 @@ def test_prime_strictly_inside_interval_up_to_100000():
 
 
 def test_prime_rejects_small_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^need n >= 2$"):
         prime_in_bertrand_range(1)
 
 

@@ -23,7 +23,7 @@ from graphprod import (
     witness_is_valid,
 )
 from graphprod import core, factorization
-from graphprod.catalog import C5, NAMED, add_loops, complete_graph
+from graphprod.catalog import C5, K2, NAMED, add_loops, complete_graph
 from graphprod.skeleton import cartesian_skeleton, certifies_prime
 
 from helpers import (
@@ -33,7 +33,6 @@ from helpers import (
     is_r_thin,
     naive_cartesian_product,
     naive_cartesian_skeleton,
-    random_bipartite_connected,
     random_connected_graph,
     random_graph,
     random_relabeling,
@@ -268,9 +267,13 @@ def test_per_graph_data_is_derived_once_per_call(monkeypatch):
         "factor_search",
         lambda g, a, b, **kw: searched.append((a, b)) or search(g, a, b, **kw),
     )
-    # a bipartite prime of 12 nodes, so the certificate stays out and both
-    # splits (2 x 6 and 3 x 4) run searches that place vertices
-    g = random_bipartite_connected(12, random.Random(1))
+    # a bipartite prime of 12 nodes (a one-swap near-composite of K2 x H),
+    # so the certificate stays out, and the swap keeps K2 x H's row sums, so
+    # both splits (2 x 6 and 3 x 4) build engines that place vertices
+    rng = random.Random(2)
+    g = direct_product(K2, random_connected_graph(6, rng))
+    g = random_relabeling(double_edge_swap(g, rng), rng)
+    assert is_connected(g) and is_bipartite(g)
     assert find_factorization(g) is None
     assert searched == [(2, 6), (3, 4)]
     assert built == [g] and walked == [g.adjacency_masks]
