@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable
 
-from .core import Graph, disjoint_union, read_edge_list
+from .core import Graph, PreconditionError, disjoint_union, read_edge_list
 
 
 def path_graph(n: int) -> Graph:
@@ -20,7 +20,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 nodes")
+        raise PreconditionError("a cycle needs at least 3 nodes")
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 

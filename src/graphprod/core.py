@@ -67,6 +67,12 @@ class PreconditionError(GraphProdError, ValueError):
         self.report = report
 
 
+def check_node_limit(order: int, node_limit: int | None, what: str) -> None:
+    """Raise :class:`SizeLimitError` if ``order`` exceeds ``node_limit``; None is no bound."""
+    if node_limit is not None and order > node_limit:
+        raise SizeLimitError(f"{what} order {order} exceeds the {node_limit}-node bound")
+
+
 class EdgeListParseError(GraphProdError):
     """Malformed edge-list text; ``line`` is the offending 1-based line.
 
@@ -97,12 +103,12 @@ class Graph:
     def __post_init__(self):
         n = self.node_count
         if n < 0:
-            raise ValueError("node_count must be nonnegative")
+            raise PreconditionError("node_count must be nonnegative")
         normalized = set()
         loops = 0
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+                raise PreconditionError(f"edge ({u}, {v}) out of range for {n} nodes")
             if u == v and (u, u) not in normalized:  # any duplicate is counted once
                 loops += 1
             normalized.add((u, v) if u <= v else (v, u))
@@ -276,11 +282,11 @@ def graph_from_adjacency(mat: np.ndarray) -> Graph:
 
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("adjacency matrix must be square")
+        raise PreconditionError("adjacency matrix must be square")
     if not np.array_equal(mat, mat.T):
-        raise ValueError("adjacency matrix must be symmetric")
+        raise PreconditionError("adjacency matrix must be symmetric")
     if not np.isin(mat, (0, 1)).all():
-        raise ValueError("adjacency entries must be 0 or 1")
+        raise PreconditionError("adjacency entries must be 0 or 1")
     n = mat.shape[0]
     edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(mat)) if u <= v}
     return Graph(n, frozenset(edges))

@@ -91,9 +91,9 @@ from .core import (
     Graph,
     InternalError,
     PreconditionError,
-    SizeLimitError,
     bits,
     breadth_first,
+    check_node_limit,
     connected_components,
     disjoint_union,
     induced_subgraph,
@@ -450,11 +450,6 @@ class _FactorSearch:
         return None
 
 
-def _check_node_limit(g: Graph, node_limit: int | None) -> None:
-    if node_limit is not None and g.node_count > node_limit:
-        raise SizeLimitError(f"graph order {g.node_count} exceeds the {node_limit}-node bound")
-
-
 def factor_search(
     g: Graph,
     a: int,
@@ -469,7 +464,7 @@ def factor_search(
     search to factorizations through that exact left factor.  Returned
     witnesses are re-verified by product recomputation before return.
     """
-    _check_node_limit(g, node_limit)
+    check_node_limit(g.node_count, node_limit, "graph")
     if a < 2 or b < 2 or a > b:
         raise PreconditionError("factor orders must satisfy 2 <= a <= b")
     if a * b != g.node_count:
@@ -500,7 +495,7 @@ def find_factorization(
     """
     if g.node_count == 0:
         raise PreconditionError("factoring is undefined for the empty graph")
-    _check_node_limit(g, node_limit)
+    check_node_limit(g.node_count, node_limit, "graph")
     splits = _divisor_pairs(g.node_count)
     if not splits:
         return None
@@ -523,7 +518,7 @@ def is_prime_direct(g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT) ->
     The single-node graph is neither prime nor composite; it reports False
     here and is called out as trivial by the CLI.
     """
-    _check_node_limit(g, node_limit)
+    check_node_limit(g.node_count, node_limit, "graph")
     if g.node_count == 1:
         return False
     return find_factorization(g, node_limit=node_limit) is None

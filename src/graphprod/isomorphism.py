@@ -59,8 +59,8 @@ from .core import (
     Graph,
     InternalError,
     PreconditionError,
-    SizeLimitError,
     bits,
+    check_node_limit,
     relabel,
 )
 
@@ -260,10 +260,7 @@ def are_isomorphic(
     """
     if g1.node_count == 0 or g2.node_count == 0:
         raise PreconditionError("isomorphism is undefined for the empty graph")
-    if node_limit is not None and max(g1.node_count, g2.node_count) > node_limit:
-        raise SizeLimitError(
-            f"inputs exceed the {node_limit}-node bound; raise node_limit to proceed"
-        )
+    check_node_limit(max(g1.node_count, g2.node_count), node_limit, "input")
     n = g1.node_count
     if g2.node_count != n:
         return None

@@ -1,15 +1,26 @@
 """The four standard graph products and the Kronecker matrix product.
 
-A product of graphs with n1 and n2 nodes lives on the vertex pairs (u, v),
-which are flattened row-major: pair (u, v) becomes index ``u * n2 + v``.
+A product of graphs with n1 and n2 nodes lives on the vertex pairs (x, y),
+which are flattened row-major: pair (x, y) becomes index ``x * n2 + y``.
 Under that fixed indexing the adjacency matrix of the direct product equals
 the Kronecker product of the factor adjacency matrices exactly, entry for
 entry, with no permutation left over; :func:`verify_kronecker_identity`
 checks precisely that.
 
-Self-loops fall out of the edge rules verbatim.  For example the direct
-product has a loop at (x, y) iff both x and y carry loops, while the
-cartesian product has a loop at (x, y) iff either does.
+Each product is one adjacency rule on the pairs.  Write x ~ x' when x and
+x' are adjacent, which for x = x' means x carries a loop.  Then (x, y) and
+(x', y') are adjacent in the
+
+* direct product iff x ~ x' and y ~ y';
+* cartesian product iff x = x' and y ~ y', or x ~ x' and y = y';
+* strong product iff they are adjacent in the cartesian or the direct one;
+* lexicographic product iff x ~ x', or x = x' and y ~ y'.
+
+Self-loops fall out of the rules verbatim.  For example the direct product
+has a loop at (x, y) iff both x and y carry loops, while the cartesian
+product has a loop at (x, y) iff either does.  The rules produce ordered
+pairs; :class:`~graphprod.core.Graph` puts each edge in ``(min, max)`` order
+and drops duplicates when it is built.
 
 Products are built on edge sets.  numpy is imported only by the array
 helpers :func:`kronecker` and :func:`verify_kronecker_identity`, on first
@@ -19,9 +30,9 @@ call, so importing the package does not load it.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection, Iterable
 
-from .core import Edge, Graph, PreconditionError, SizeLimitError, adjacency_matrix
+from .core import Edge, Graph, PreconditionError, adjacency_matrix, check_node_limit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,54 +47,18 @@ class ProductKind(enum.Enum):
     LEXICOGRAPHIC = "lexicographic"
 
 
-def _norm(a: int, b: int) -> Edge:
-    return (a, b) if a <= b else (b, a)
+def _pairs(rel1: Iterable[Edge], rel2: Collection[Edge], n2: int) -> set[Edge]:
+    """The relation product rel1 × rel2 on row-major indices.
+
+    Each (x, x') in rel1 and (y, y') in rel2 give the pair (x*n2 + y, x'*n2 + y').
+    ``rel2`` is walked once per pair of rel1, so it must be a collection, not
+    an iterator.
+    """
+    return {(x * n2 + y, xp * n2 + yp) for x, xp in rel1 for y, yp in rel2}
 
 
-def _direct_edges(g1: Graph, g2: Graph) -> set[Edge]:
-    n2 = g2.node_count
-    out: set[Edge] = set()
-    for x, xp in g1.edges:
-        base_x = x * n2
-        base_xp = xp * n2
-        for y, yp in g2.edges:
-            out.add(_norm(base_x + y, base_xp + yp))
-            out.add(_norm(base_x + yp, base_xp + y))
-    return out
-
-
-def _cartesian_edges(g1: Graph, g2: Graph) -> set[Edge]:
-    n1, n2 = g1.node_count, g2.node_count
-    out: set[Edge] = set()
-    for x in range(n1):
-        base = x * n2
-        for y, yp in g2.edges:
-            out.add(_norm(base + y, base + yp))
-    for x, xp in g1.edges:
-        for y in range(n2):
-            out.add(_norm(x * n2 + y, xp * n2 + y))
-    return out
-
-
-def _lexicographic_edges(g1: Graph, g2: Graph) -> set[Edge]:
-    n2 = g2.node_count
-    out: set[Edge] = set()
-    for x, xp in g1.edges:
-        if x == xp:
-            # a loop in the left factor joins every pair inside its column
-            base = x * n2
-            for y in range(n2):
-                for yp in range(y, n2):
-                    out.add((base + y, base + yp))
-        else:
-            for y in range(n2):
-                for yp in range(n2):
-                    out.add(_norm(x * n2 + y, xp * n2 + yp))
-    for x in range(g1.node_count):
-        base = x * n2
-        for y, yp in g2.edges:
-            out.add(_norm(base + y, base + yp))
-    return out
+def _diagonal(n: int) -> list[Edge]:
+    return [(v, v) for v in range(n)]
 
 
 def product(
@@ -93,23 +68,38 @@ def product(
     *,
     node_limit: int | None = DEFAULT_NODE_LIMIT,
 ) -> Graph:
-    """Product graph of the chosen kind on ``n1 * n2`` row-major indexed nodes."""
-    if g1.node_count == 0 or g2.node_count == 0:
+    """Product graph of the chosen kind on ``n1 * n2`` row-major indexed nodes.
+
+    With e1, e2 the factors' edge sets and diag(V) the pairs (v, v), each
+    kind is its adjacency rule written as relation products (see
+    :func:`_pairs`):
+
+    * direct: e1 × (e2 in both orders);
+    * cartesian: (diag(V1) × e2) ∪ (e1 × diag(V2));
+    * strong: cartesian ∪ direct;
+    * lexicographic: (e1 × V2²) ∪ (diag(V1) × e2).
+
+    Empty factors and anything but a :class:`ProductKind` raise
+    :class:`PreconditionError`; a product above ``node_limit`` nodes raises
+    :class:`SizeLimitError`.
+    """
+    if not isinstance(kind, ProductKind):
+        raise PreconditionError(f"unknown product kind: {kind!r}")
+    n1, n2 = g1.node_count, g2.node_count
+    if n1 == 0 or n2 == 0:
         raise PreconditionError("graph products require nonempty factors")
-    order = g1.node_count * g2.node_count
-    if node_limit is not None and order > node_limit:
-        raise SizeLimitError(f"product order {order} exceeds the {node_limit}-node bound")
+    check_node_limit(n1 * n2, node_limit, "product")
+    e1, e2 = g1.edges, g2.edges
     if kind is ProductKind.DIRECT:
-        edges = _direct_edges(g1, g2)
-    elif kind is ProductKind.CARTESIAN:
-        edges = _cartesian_edges(g1, g2)
-    elif kind is ProductKind.STRONG:
-        edges = _cartesian_edges(g1, g2) | _direct_edges(g1, g2)
+        edges = _pairs(e1, [*e2, *((yp, y) for y, yp in e2)], n2)
     elif kind is ProductKind.LEXICOGRAPHIC:
-        edges = _lexicographic_edges(g1, g2)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown product kind: {kind!r}")
-    return Graph(order, frozenset(edges))
+        square = [(y, yp) for y in range(n2) for yp in range(n2)]
+        edges = _pairs(e1, square, n2) | _pairs(_diagonal(n1), e2, n2)
+    else:
+        edges = _pairs(_diagonal(n1), e2, n2) | _pairs(e1, _diagonal(n2), n2)
+        if kind is ProductKind.STRONG:  # cartesian ∪ direct
+            edges |= _pairs(e1, [*e2, *((yp, y) for y, yp in e2)], n2)
+    return Graph(n1 * n2, edges)
 
 
 def direct_product(g1: Graph, g2: Graph, **kw) -> Graph:
@@ -136,11 +126,7 @@ def kronecker(
 
     a = np.asarray(a)
     b = np.asarray(b)
-    if node_limit is not None and a.shape[0] * b.shape[0] > node_limit:
-        raise SizeLimitError(
-            f"Kronecker result order {a.shape[0] * b.shape[0]} exceeds the "
-            f"{node_limit}-node bound"
-        )
+    check_node_limit(a.shape[0] * b.shape[0], node_limit, "Kronecker result")
     return np.kron(a, b)
 
 

@@ -106,20 +106,9 @@ def require_class_g(g: Graph, which: str) -> None:
         )
 
 
-# offset d fixing both residues, keyed by (t mod 2, t mod 3)
-_OFFSET_TABLE = {
-    (0, 0): 1,
-    (0, 1): 1,
-    (0, 2): 3,
-    (1, 0): 2,
-    (1, 1): 0,
-    (1, 2): 0,
-}
-
-
 def div2div3_offset(t: int) -> int:
-    """Smallest table offset d in {0..3} with t + d indivisible by 2 and by 3."""
-    return _OFFSET_TABLE[(t % 2, t % 3)]
+    """Smallest offset d in {0..3} with t + d indivisible by 2 and by 3."""
+    return next(d for d in range(4) if (t + d) % 2 and (t + d) % 3)
 
 
 def prime_in_bertrand_range(n: int) -> int:

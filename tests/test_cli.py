@@ -141,6 +141,29 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
     assert report["command"] == argv[0] and report["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "env,missing,message",
+    [
+        (None, True, "No such file or directory"),
+        ("abc", False, "GRAPHPROD_MAX_NODES must be an integer, got 'abc'"),
+        ("0", False, "GRAPHPROD_MAX_NODES must be positive"),
+    ],
+)
+def test_a_missing_file_or_a_bad_bound_is_exit_2(
+    env, missing, message, monkeypatch, tmp_path, capsys
+):
+    if env is None:
+        monkeypatch.delenv("GRAPHPROD_MAX_NODES", raising=False)
+    else:
+        monkeypatch.setenv("GRAPHPROD_MAX_NODES", env)
+    other = str(tmp_path / "missing.el") if missing else path("k2")
+    code, out, err = run(capsys, "product", "--kind", "direct", "--json", path("k2"), other)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    report = json.loads(out)
+    assert report["command"] == "product" and report["exit_code"] == 2
+
+
 def test_product_size_bound_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("GRAPHPROD_MAX_NODES", "8")
     code, _, err = run(capsys, "product", "--kind", "direct", path("c5"), path("k2"))

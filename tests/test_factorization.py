@@ -155,6 +155,13 @@ def test_witness_rejects_labels_outside_the_factor_orders():
         assert not witness_is_valid(g, FactorizationWitness(K2, C3, labeling)), labeling
 
 
+def test_witness_rejects_a_short_labeling_and_a_repeated_cell():
+    g = direct_product(K2, C3)
+    cells = [(r, c) for r in range(2) for c in range(3)]
+    for labeling in (cells[:5], [cells[0]] + cells[:5]):
+        assert not witness_is_valid(g, FactorizationWitness(K2, C3, tuple(labeling))), labeling
+
+
 def test_argument_and_size_errors():
     union = disjoint_union(K2, K2)
     with pytest.raises(PreconditionError, match=r"^2 \* 3 != 4 nodes$"):
@@ -163,7 +170,7 @@ def test_argument_and_size_errors():
         with pytest.raises(PreconditionError, match=r"^factor orders must satisfy 2 <= a <= b$"):
             factor_search(union, a, b)
     big = Graph(21)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^graph order 21 exceeds the 20-node bound$"):
         factor_search(big, 3, 7)
     with pytest.raises(SizeLimitError):
         is_prime_direct(big)
@@ -814,6 +821,8 @@ def test_oracles():
     assert elimination_oracle(union)
     with pytest.raises(PreconditionError):
         elimination_oracle(C5_LOOP)  # one component only
+    with pytest.raises(PreconditionError, match="^elimination oracle needs equal-order components$"):
+        elimination_oracle(disjoint_union(C5_LOOP, C3))
 
 
 # -- the two counterexample constructions -------------------------------------

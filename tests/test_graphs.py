@@ -27,7 +27,7 @@ from graphprod import (
     relabel,
 )
 from graphprod.core import MAX_HEADER_NODES, breadth_first
-from graphprod.catalog import C3, C4, C5, K1_4, K2, add_loops
+from graphprod.catalog import C3, C4, C5, K1_4, K2, add_loops, cycle_graph
 
 from helpers import (
     all_graphs,
@@ -53,10 +53,12 @@ def test_edges_are_normalized():
 
 
 def test_out_of_range_edge_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match=r"^edge \(0, 2\) out of range for 2 nodes$"):
         Graph(2, frozenset({(0, 2)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^node_count must be nonnegative$"):
         Graph(-1)
+    with pytest.raises(PreconditionError, match="^a cycle needs at least 3 nodes$"):
+        cycle_graph(2)
 
 
 def test_nonzero_count_is_2m_minus_s_exhaustive():
@@ -115,7 +117,7 @@ def test_is_connected_examples():
     assert not is_connected(disjoint_union(K2, K2))
     assert is_connected(K1_4)
     assert is_connected(add_loops(Graph(1), [0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         is_connected(Graph(0))
 
 
@@ -229,11 +231,11 @@ def test_adjacency_round_trip():
 
 
 def test_graph_from_adjacency_validation():
-    with pytest.raises(ValueError):
-        graph_from_adjacency(np.array([[0, 1], [0, 0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        graph_from_adjacency(np.array([[2]]))  # not 0/1
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="must be symmetric"):
+        graph_from_adjacency(np.array([[0, 1], [0, 0]]))
+    with pytest.raises(PreconditionError, match="must be 0 or 1"):
+        graph_from_adjacency(np.array([[2]]))
+    with pytest.raises(PreconditionError, match="must be square"):
         graph_from_adjacency(np.zeros((2, 3), dtype=int))
 
 
@@ -264,6 +266,7 @@ def test_edge_list_round_trip(g):
     [
         ("", 1),
         ("1 2 3\n", 1),
+        ("-1 0\n", 1),  # counts must be nonnegative
         ("x y\n", 1),
         ("2 1\n0 1 2\n", 2),
         ("2 1\n0 a\n", 2),

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from graphprod import Graph, SizeLimitError, are_isomorphic, is_isomorphism, relabel
+from graphprod import isomorphism as iso
 from graphprod.catalog import C3, C5, K1_4, NAMED, P3_END_LOOP, P3_MID_LOOP, star_graph
 from graphprod.isomorphism import _equitable_partition
 
@@ -27,6 +28,7 @@ def test_relabeled_triangle_has_witness():
     w = are_isomorphic(C3, other)
     assert w is not None
     assert is_isomorphism(C3, other, w.mapping)
+    assert not is_isomorphism(C3, other, (0, 0, 1))  # not a permutation
 
 
 def test_loop_position_distinguishes_paths():
@@ -143,7 +145,23 @@ def _networkx_graph(nx, g):
     return out
 
 
-def test_agreement_with_networkx_vf2_beyond_naive_reach():
+def _torus_graph(steps) -> Graph:
+    """Graph on Z4 x Z4, node (i, j) = 4i + j, joining nodes whose difference is in steps."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return Graph(16, frozenset(
+        (4 * i + j, 4 * k + l)
+        for i, j in cells
+        for k, l in cells
+        if ((k - i) % 4, (l - j) % 4) in steps
+    ))
+
+
+# Both strongly regular with parameters (16, 6, 2, 2), and not isomorphic.
+ROOK_4X4 = _torus_graph({(0, d) for d in (1, 2, 3)} | {(d, 0) for d in (1, 2, 3)})
+SHRIKHANDE = _torus_graph({(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+
+
+def test_agreement_with_networkx_vf2_beyond_naive_reach(monkeypatch):
     nx = pytest.importorskip("networkx")
     rng = random.Random(2004)
     pairs = []
@@ -164,9 +182,35 @@ def test_agreement_with_networkx_vf2_beyond_naive_reach():
         for g2 in (random_relabeling(g, rng), random_relabeling(other, rng)):
             pairs.append((g, g2))
             decide[len(pairs) - 1] = getattr(nx, "vf2pp_is_isomorphic", nx.is_isomorphic)
+    # refinement cannot tell these apart before a placement, so the search
+    # has to back up past placed nodes
+    srg_rng = random.Random(16)
+    srg = len(pairs)
+    pairs.append((ROOK_4X4, SHRIKHANDE))
+    for g in (ROOK_4X4, SHRIKHANDE):
+        pairs.append((g, random_relabeling(g, srg_rng)))
+    # every failed placement is undone at once; any further undo takes back
+    # the placement of a node the depth loop has returned to
+    counts = {"undo": 0, "failed": 0}
+    place, undo = iso._Partition.place, iso._Partition.undo
+
+    def counted_place(self, v, w):
+        ok = place(self, v, w)
+        counts["failed"] += not ok
+        return ok
+
+    def counted_undo(self, mark):
+        counts["undo"] += 1
+        undo(self, mark)
+
+    monkeypatch.setattr(iso._Partition, "place", counted_place)
+    monkeypatch.setattr(iso._Partition, "undo", counted_undo)
     answers = set()
     for k, (g1, g2) in enumerate(pairs):
+        counts.update(undo=0, failed=0)
         got = are_isomorphic(g1, g2, node_limit=None)
+        if k == srg:
+            assert got is None and counts["undo"] > counts["failed"]
         want = decide.get(k, nx.is_isomorphic)(_networkx_graph(nx, g1), _networkx_graph(nx, g2))
         assert (got is not None) == want
         if got is not None:
@@ -261,7 +305,7 @@ def test_mismatched_counts_fail_fast():
 def test_node_limit():
     big1 = Graph(17, frozenset((i, i + 1) for i in range(16)))
     big2 = Graph(17, frozenset((i, i + 1) for i in range(16)))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^input order 17 exceeds the 16-node bound$"):
         are_isomorphic(big1, big2)
     assert are_isomorphic(big1, big2, node_limit=17) is not None
     assert are_isomorphic(big1, big2, node_limit=None) is not None

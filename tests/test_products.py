@@ -7,6 +7,7 @@ import pytest
 
 from graphprod import (
     Graph,
+    PreconditionError,
     SizeLimitError,
     adjacency_matrix,
     are_isomorphic,
@@ -181,13 +182,19 @@ def test_bipartite_double_cover():
 
 def test_size_bound_and_empty_inputs():
     big = Graph(70)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^product order 4900 exceeds the 4096-node bound$"):
         direct_product(big, big)
     assert direct_product(big, big, node_limit=None).node_count == 4900
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^Kronecker result order 4900 exceeds the 4096"):
         kronecker(np.zeros((70, 70)), np.zeros((70, 70)))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^graph products require nonempty factors$"):
         direct_product(Graph(0), K2)
+
+
+@pytest.mark.parametrize("kind", ["direct", None, 0])
+def test_product_rejects_anything_but_a_product_kind(kind):
+    with pytest.raises(PreconditionError, match=f"^unknown product kind: {kind!r}$"):
+        product(kind, K2, K2)
 
 
 def test_loops_follow_definitions():

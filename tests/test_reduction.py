@@ -22,7 +22,18 @@ from graphprod import (
     search_oracle,
     elimination_oracle,
 )
-from graphprod.catalog import C3, C4, C5, C5_LOOP, K2, L1, NAMED, add_loops, path_graph
+from graphprod.catalog import (
+    C3,
+    C4,
+    C5,
+    C5_LOOP,
+    K2,
+    L1,
+    NAMED,
+    P3_END_LOOP,
+    add_loops,
+    path_graph,
+)
 from graphprod.reduction import is_prime_int
 
 from helpers import (
@@ -67,6 +78,17 @@ def test_class_g_handles_degenerate_graphs():
     assert report.p1_connected_nonbipartite
     assert not report.p2_prime_order  # 1 is not prime
     assert not report.member
+
+
+@pytest.mark.parametrize(
+    "g,violations",
+    [
+        (L1, ["P2: node count is not prime", "P3: self-loops do not number fewer than edges"]),
+        (add_loops(C3, [0, 1, 2]), ["P5: 2m - s is divisible by 3"]),  # 2m - s = 9
+    ],
+)
+def test_class_g_report_names_each_violation(g, violations):
+    assert class_g_check(g).violations() == violations
 
 
 # -- residue offsets ----------------------------------------------------------
@@ -304,6 +326,10 @@ def test_general_driver_elimination_oracle_agrees():
         via_search = graph_isomorphism_via_compositeness(g1, g2, search_oracle)
         via_elim = graph_isomorphism_via_compositeness(g1, g2, elimination_oracle)
         assert via_search == via_elim
+    # same n and m but different loop counts: the padded components have 13
+    # and 10 edges, so elimination answers from the counts alone
+    for oracle in (elimination_oracle, search_oracle):
+        assert graph_isomorphism_via_compositeness(C3, P3_END_LOOP, oracle) is False
 
 
 def test_general_driver_on_long_paths_does_not_recurse():
