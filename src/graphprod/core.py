@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -89,11 +90,12 @@ class EdgeListParseError(GraphProdError):
 class Graph:
     """Immutable undirected graph on nodes ``0..node_count-1``.
 
-    ``edges`` may be given with endpoints in either order; they are
-    normalized to ``(min, max)`` tuples on construction, which also counts
-    ``loop_count``, s, the number of self-loops.  Three views are computed
-    on first use and cached on the instance: ``adjacency_masks``,
-    ``neighbors`` and ``traversal``.
+    ``node_count`` and the endpoints of ``edges`` may be any integers, numpy's
+    too, and are stored as Python ints; anything else is a precondition
+    error.  Edges are normalized to ``(min, max)`` tuples on construction,
+    which also counts ``loop_count``, s, the number of self-loops.  Three
+    views are computed on first use and cached on the instance:
+    ``adjacency_masks``, ``neighbors`` and ``traversal``.
     """
 
     node_count: int
@@ -101,17 +103,27 @@ class Graph:
     loop_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.node_count
+        try:
+            n = index(self.node_count)
+        except TypeError:
+            raise PreconditionError("node_count must be an integer") from None
         if n < 0:
             raise PreconditionError("node_count must be nonnegative")
         normalized = set()
         loops = 0
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"edge ({u}, {v}) out of range for {n} nodes")
-            if u == v and (u, u) not in normalized:  # any duplicate is counted once
-                loops += 1
-            normalized.add((u, v) if u <= v else (v, u))
+        try:  # one pass that reads and checks each edge: every Graph built runs it
+            for u, v in self.edges:
+                u, v = index(u), index(v)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise PreconditionError(f"edge ({u}, {v}) out of range for {n} nodes")
+                if u == v and (u, u) not in normalized:  # any duplicate is counted once
+                    loops += 1
+                normalized.add((u, v) if u <= v else (v, u))
+        except PreconditionError:
+            raise
+        except (TypeError, ValueError):
+            raise PreconditionError("edges must be pairs of integers") from None
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "loop_count", loops)
 

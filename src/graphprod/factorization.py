@@ -83,7 +83,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .catalog import D2
@@ -130,13 +130,12 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
     b = w.factor_b.node_count
     if a < 2 or b < 2 or a * b != g.node_count or len(w.labeling) != g.node_count:
         return False
-    if not all(0 <= r < a and 0 <= c < b for r, c in w.labeling):
+    try:  # -1 stands for a pair outside range(a) x range(b), so relabel refuses it
+        pairs = [(index(r), index(c)) for r, c in w.labeling]
+        moved = relabel(g, [r * b + c if 0 <= r < a and 0 <= c < b else -1 for r, c in pairs])
+    except (TypeError, ValueError):  # a label that is not a pair of integers, or no permutation
         return False
-    mapping = [r * b + c for r, c in w.labeling]
-    if sorted(mapping) != list(range(g.node_count)):
-        return False
-    expect = direct_product(w.factor_a, w.factor_b, node_limit=None)
-    return relabel(g, mapping).edges == expect.edges
+    return moved.edges == direct_product(w.factor_a, w.factor_b, node_limit=None).edges
 
 
 def witness_to_json(w: FactorizationWitness) -> dict:

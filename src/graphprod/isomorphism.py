@@ -4,34 +4,34 @@ This is a desk-scale decision procedure, not a canonical-labelling engine:
 refinement is used only to prune (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 60, 2014).
 
-Both graphs share one ordered partition of their nodes.  Cell c holds the
-nodes ``members1[c]`` of the first graph and ``members2[c]`` of the second,
-as bitmasks over :attr:`Graph.adjacency_masks` node numbers, and the two
-parts always have the same size.
+The search refines one ordered partition of the disjoint union g1 ⊔ g2,
+whose node v is node v of g1 and whose node ``n + w`` is node w of g2 (n
+is g1's order).  Every cell is balanced: it holds as many nodes of g1 as
+of g2.
 
 Refinement makes the partition equitable: every node of a cell has the same
-number of neighbours in each cell, in both graphs.  It runs from a queue of
-splitter cells.  Splitting by cell S counts, for the neighbours of S's nodes
-only, how many neighbours each has in S, and splits each touched cell by
-that count, in both graphs at once.  If some count's fragment differs in
-size between the graphs, no isomorphism respects the partition and
-refinement reports divergence.  Of a cell's fragments the largest keeps the
-cell and the others are queued as new cells; the largest need not be, since
-its counts are the whole cell's minus the others' (Hopcroft's rule, as in
-McKay, Congr. Numer. 30, 1981).  The same routine computes the initial
-partition, seeded by (degree, loop) with every cell queued: the coarsest
-equitable one, which round-based colour refinement (1-WL) reaches too.
+number of neighbours in each cell.  It runs from a queue of splitter cells.
+Splitting by cell S counts, for the neighbours of S's nodes only, how many
+neighbours each has in S, and splits each touched cell by that count.  A
+fragment that is not balanced means that no isomorphism respects the
+partition, and refinement reports divergence.  Of a cell's fragments the
+largest keeps the cell and the others are queued as new cells; the largest
+need not be, since its counts are the whole cell's minus the others'
+(Hopcroft's rule, as in McKay, Congr. Numer. 30, 1981).  The same routine
+computes the initial partition from the split of the cell of all nodes by
+(degree, loop): the coarsest equitable one, which round-based colour
+refinement (1-WL) reaches too.
 
 The backtracker maps the nodes of the first graph in a fixed
 most-constrained-first order (from the initial cell sizes).  Placing v at w
 individualises them: both move to one fresh cell, which is the only splitter
 queued, and refinement runs again.  If it diverges the branch is pruned;
-otherwise the next node's candidates are the second-graph members of its
-refined cell, tried in ascending order from a per-depth cursor.  A node
-whose cell is already a singleton (every node, once the partition is
-discrete) is placed without refining.  When every node is placed the
-partition is discrete and equitable, so the cells pair the nodes by an
-isomorphism; :func:`is_isomorphism` re-verifies it anyway.
+otherwise the next node's candidates are the g2 members of its refined
+cell, tried in ascending order from a per-depth cursor.  A node whose cell
+is already a singleton (every node, once the partition is discrete) is
+placed without refining.  When every node is placed the partition is
+discrete and equitable, so the cells pair the nodes by an isomorphism;
+:func:`is_isomorphism` re-verifies it anyway.
 
 Every cell split off is pushed on a trail, as the number of the cell it
 came from, and backtracking pops the trail down to the depth's mark, merging
@@ -39,20 +39,21 @@ each back; no depth copies the partition, and the cursors form an explicit
 stack, so the depth is not bounded by Python's recursion limit.
 
 The witness does not depend on the prune.  Refinement decides every split
-from counts and cell numbers alone, so an isomorphism that carries each cell
-of the first graph onto the same cell of the second still does after each
-split, and after placing v at w if it maps v to w.  Pruning a divergent
-branch and skipping candidates outside the refined cell therefore remove
-only partial maps that no isomorphism extends.  With the node order and the
-in-cell candidate order fixed, the search returns the same first
-isomorphism as a backtracker that checks edges alone.
+from counts and cell numbers alone, so an isomorphism that puts each node v
+of g1 in the cell of its image ``n + w`` still does after each split, and
+after placing v at w if it maps v to w.  Pruning a divergent branch and
+skipping candidates outside the refined cell therefore remove only partial
+maps that no isomorphism extends.  With the node order and the in-cell
+candidate order fixed, the search returns the same first isomorphism as a
+backtracker that checks edges alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import index
 from typing import Sequence
 
 from .core import (
@@ -76,100 +77,90 @@ class IsomorphismWitness:
 
 def is_isomorphism(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     """True iff ``mapping`` sends the edge set of g1 exactly onto g2's."""
-    if g1.node_count != g2.node_count or len(mapping) != g1.node_count:
+    if g1.node_count != g2.node_count:
         return False
-    if sorted(mapping) != list(range(g1.node_count)):
+    try:
+        moved = relabel(g1, list(map(index, mapping)))
+    except (TypeError, PreconditionError):  # a label that is not an integer, or no permutation
         return False
-    return relabel(g1, list(mapping)).edges == g2.edges
+    return moved.edges == g2.edges
 
 
 class _Partition:
-    """One ordered partition of the nodes of two graphs, refined jointly.
+    """One ordered partition of the nodes of g1 ⊔ g2, refined from a splitter queue.
 
-    Cell c holds the nodes ``members1[c]`` of the first graph and
-    ``members2[c]`` of the second, as bitmasks; ``cell1`` / ``cell2`` give
-    each node's cell.  A split appends new cells at the end; ``trail``
-    holds the cell each of them came from, in order, so :meth:`undo` can
-    merge the last ones back.
+    Node v of g1 is union node v and node w of g2 is union node ``n + w``.
+    ``members[c]`` is the bitmask of cell c, ``cell[x]`` the cell of union
+    node x and ``adj`` the union's neighbour tuples.  Every cell holds as
+    many nodes of g1 as of g2; a piece that does not is a divergence.  A
+    split appends new cells at the end; ``trail`` holds the cell each of
+    them came from, in order, so :meth:`undo` can merge the last ones back.
     """
 
-    def __init__(self, adj1, adj2, cell1, cell2, members1, members2):
-        self.adj1, self.adj2 = adj1, adj2
-        self.cell1, self.cell2 = cell1, cell2
-        self.members1, self.members2 = members1, members2
+    def __init__(self, n: int, adj: Sequence[Sequence[int]], cell: list[int], members: list[int]):
+        self.n, self.adj, self.cell, self.members = n, adj, cell, members
         self.trail: list[int] = []
 
     def refine(self, queue: deque[int]) -> bool:
-        """Split by the queued cells until equitable; False on divergence."""
-        members1, members2 = self.members1, self.members2
+        """Split by the queued cells until equitable; False on an unbalanced fragment.
+
+        Cells met before that fragment may already be split; :meth:`undo`
+        merges them back.
+        """
+        members, n = self.members, self.n
         while queue:
-            s = queue.popleft()
-            split1, split2 = members1[s], members2[s]
-            touched1 = _fragments(split1, self.adj1, self.cell1)
-            touched2 = _fragments(split2, self.adj2, self.cell2)
-            if touched1.keys() != touched2.keys():
-                return False
-            for c, by1 in touched1.items():
-                by2 = touched2[c]
-                if len(by1) != len(by2):
-                    return False
-                rest1, rest2 = members1[c], members2[c]
-                for k, part in by1.items():
-                    if by2.get(k, 0).bit_count() != part.bit_count():
+            touched = _fragments(members[queue.popleft()], self.adj, self.cell)
+            for c, by in touched.items():
+                rest = members[c]
+                for part in by.values():
+                    if 2 * (part >> n).bit_count() != part.bit_count():
                         return False
-                    rest1 ^= part
-                    rest2 ^= by2[k]
-                if len(by1) == 1 and not rest1:
+                    rest ^= part
+                if len(by) == 1 and not rest:
                     continue  # every node of c has the same count: no split
-                pieces = [(rest1, rest2)] if rest1 else []
-                self._split(c, pieces + [(by1[k], by2[k]) for k in sorted(by1)], queue)
+                pieces = [rest] if rest else []
+                self._split(c, pieces + [by[k] for k in sorted(by)], queue)
         return True
 
-    def _split(self, c: int, pieces: list[tuple[int, int]], queue: deque[int]) -> None:
+    def _split(self, c: int, pieces: list[int], queue: deque[int]) -> None:
         """Split cell c into ``pieces``, in count order, and queue the new cells.
 
         The largest piece (the first of equal size) keeps c; the others need
         to be splitters and it does not, since its counts are those of all
         of c minus theirs (Hopcroft's rule).
         """
-        keep = max(pieces, key=lambda piece: piece[0].bit_count())
-        self.members1[c], self.members2[c] = keep
-        for piece in pieces:
-            if piece is keep:
+        sizes = [part.bit_count() for part in pieces]
+        keep = sizes.index(max(sizes))
+        self.members[c] = pieces[keep]
+        for i, part in enumerate(pieces):
+            if i == keep:
                 continue
-            part1, part2 = piece
-            d = len(self.members1)
-            self.members1.append(part1)
-            self.members2.append(part2)
-            for x in bits(part1):
-                self.cell1[x] = d
-            for y in bits(part2):
-                self.cell2[y] = d
+            d = len(self.members)
+            self.members.append(part)
+            for x in bits(part):
+                self.cell[x] = d
             self.trail.append(c)
             queue.append(d)
 
     def place(self, v: int, w: int) -> bool:
-        """Individualise v and w (in the same cell) and refine; False on divergence."""
-        c = self.cell1[v]
-        if self.members1[c] == 1 << v:  # already a singleton: stays equitable
+        """Individualise v of g1 and w of g2 (in the same cell) and refine; False on divergence."""
+        c = self.cell[v]
+        pair = 1 << v | 1 << self.n + w
+        if self.members[c] == pair:  # already a singleton: stays equitable
             return True
         queue: deque[int] = deque()
-        rest = (self.members1[c] ^ 1 << v, self.members2[c] ^ 1 << w)
-        self._split(c, [rest, (1 << v, 1 << w)], queue)
+        self._split(c, [self.members[c] ^ pair, pair], queue)
         return self.refine(queue)
 
     def undo(self, mark: int) -> None:
         """Merge every split made after the trail had ``mark`` entries."""
-        trail = self.trail
+        trail, members, cell = self.trail, self.members, self.cell
         while len(trail) > mark:
             c = trail.pop()
-            part1, part2 = self.members1.pop(), self.members2.pop()
-            self.members1[c] |= part1
-            self.members2[c] |= part2
-            for x in bits(part1):
-                self.cell1[x] = c
-            for y in bits(part2):
-                self.cell2[y] = c
+            part = members.pop()
+            members[c] |= part
+            for x in bits(part):
+                cell[x] = c
 
 
 def _fragments(
@@ -197,24 +188,20 @@ def _fragments(
 
 
 def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
-    """The joint equitable partition seeded by (degree, loop); None on divergence."""
-    adj1, adj2 = g1.neighbors, g2.neighbors
-    key1 = [(len(nbrs), (v, v) in g1.edges) for v, nbrs in enumerate(adj1)]
-    key2 = [(len(nbrs), (v, v) in g2.edges) for v, nbrs in enumerate(adj2)]
-    if Counter(key1) != Counter(key2):
+    """The equitable partition of g1 ⊔ g2 seeded by (degree, loop); None on divergence."""
+    n = g1.node_count
+    keys = [(len(nbrs), (v, v) in g.edges) for g in (g1, g2) for v, nbrs in enumerate(g.neighbors)]
+    palette = {key: c for c, key in enumerate(sorted(set(keys)))}
+    cell = [palette[key] for key in keys]
+    members = [0] * len(palette)
+    for x, c in enumerate(cell):
+        members[c] |= 1 << x
+    if any(2 * (m >> n).bit_count() != m.bit_count() for m in members):
         return None
-    palette = {key: c for c, key in enumerate(sorted(set(key1)))}
-    cell1 = [palette[key] for key in key1]
-    cell2 = [palette[key] for key in key2]
-    members1 = [0] * len(palette)
-    members2 = [0] * len(palette)
-    for v, c in enumerate(cell1):
-        members1[c] |= 1 << v
-    for w, c in enumerate(cell2):
-        members2[c] |= 1 << w
-    part = _Partition(adj1, adj2, cell1, cell2, members1, members2)
+    adj = g1.neighbors + tuple([x + n for x in nbrs] for nbrs in g2.neighbors)
+    part = _Partition(n, adj, cell, members)
     # the degree seed is the split by the whole node set: skip its largest cell
-    sizes = [m.bit_count() for m in members1]
+    sizes = [m.bit_count() for m in members]
     largest = sizes.index(max(sizes))
     queue = deque(c for c in range(len(sizes)) if c != largest)
     return part if part.refine(queue) else None
@@ -270,8 +257,8 @@ def are_isomorphic(
     part = _equitable_partition(g1, g2)
     if part is None:
         return None
-    cell1, members1, members2 = part.cell1, part.members1, part.members2
-    order = _processing_order(g1.neighbors, [members1[cell1[v]].bit_count() for v in range(n)])
+    cell, members = part.cell, part.members
+    order = _processing_order(g1.neighbors, [members[cell[v]].bit_count() // 2 for v in range(n)])
 
     mapping = [-1] * n
     start = [0] * n  # candidates below this node are already tried at each depth
@@ -283,7 +270,7 @@ def are_isomorphic(
             part.undo(mark[idx])
             mapping[v] = -1
         mark[idx] = len(part.trail)
-        rest = members2[cell1[v]] & (-1 << start[idx])
+        rest = members[cell[v]] >> n & (-1 << start[idx])
         while rest:
             bit = rest & -rest
             w = bit.bit_length() - 1

@@ -156,10 +156,19 @@ def test_witness_rejects_labels_outside_the_factor_orders():
 
 
 def test_witness_rejects_a_short_labeling_and_a_repeated_cell():
+    # and labels that are not pairs of integers: the predicate returns False
     g = direct_product(K2, C3)
     cells = [(r, c) for r in range(2) for c in range(3)]
-    for labeling in (cells[:5], [cells[0]] + cells[:5]):
-        assert not witness_is_valid(g, FactorizationWitness(K2, C3, tuple(labeling))), labeling
+    for labeling in (
+        cells[:5],
+        [cells[0]] + cells[:5],
+        [(2, 0)] + cells,
+        cells + [(0, 3)],
+        [(float(r), c) for r, c in cells],
+        [(r, str(c)) for r, c in cells],
+        [(r, c, 0) for r, c in cells],
+    ):
+        assert witness_is_valid(g, FactorizationWitness(K2, C3, tuple(labeling))) is False, labeling
 
 
 def test_argument_and_size_errors():

@@ -61,6 +61,30 @@ def test_out_of_range_edge_rejected():
         cycle_graph(2)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.5,), "node_count must be an integer"),
+        (("3",), "node_count must be an integer"),
+        ((3, {(0, 1.5)}), "edges must be pairs of integers"),
+        ((3, {(0, "a")}), "edges must be pairs of integers"),
+        ((3, [(0, 1, 2)]), "edges must be pairs of integers"),
+        ((3, [0]), "edges must be pairs of integers"),
+        ((3, 5), "edges must be pairs of integers"),
+    ],
+)
+def test_malformed_graph_rejected(args, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        Graph(*args)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    g = Graph(np.int64(3), {(np.int64(1), np.int64(0)), (1, 2)})
+    assert type(g.node_count) is int
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    assert g.edges == frozenset({(0, 1), (1, 2)}) and is_connected(g)
+
+
 def test_nonzero_count_is_2m_minus_s_exhaustive():
     # every graph with up to 4 nodes, loops included
     for n in range(1, 5):

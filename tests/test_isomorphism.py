@@ -4,11 +4,13 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from graphprod import Graph, SizeLimitError, are_isomorphic, is_isomorphism, relabel
 from graphprod import isomorphism as iso
 from graphprod.catalog import C3, C5, K1_4, NAMED, P3_END_LOOP, P3_MID_LOOP, star_graph
+from graphprod.core import bits
 from graphprod.isomorphism import _equitable_partition
 
 from helpers import (
@@ -29,6 +31,8 @@ def test_relabeled_triangle_has_witness():
     assert w is not None
     assert is_isomorphism(C3, other, w.mapping)
     assert not is_isomorphism(C3, other, (0, 0, 1))  # not a permutation
+    assert is_isomorphism(C3, C3, np.arange(3))
+    assert is_isomorphism(C3, C3, (0.0, 1.0, 2.0)) is False  # not integers
 
 
 def test_loop_position_distinguishes_paths():
@@ -289,12 +293,50 @@ def test_initial_refinement_matches_round_based_color_refinement():
         got = _equitable_partition(g1, g2)
         assert (got is None) == (want is None)
         if got is not None:
-            assert _joint_cells(got.cell1, got.cell2) == _joint_cells(*want)
-            for cells, members in ((got.cell1, got.members1), (got.cell2, got.members2)):
-                assert [sum(1 << v for v, c in enumerate(cells) if c == d)
-                        for d in range(len(members))] == members
+            n = g1.node_count
+            assert _joint_cells(got.cell[:n], got.cell[n:]) == _joint_cells(*want)
+            _assert_balanced(got, n)
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def _assert_balanced(part, n):
+    """``cell`` and ``members`` agree, and every cell holds as many g1 as g2 nodes."""
+    members = [0] * len(part.members)
+    for x, c in enumerate(part.cell):
+        members[c] |= 1 << x
+    assert members == part.members
+    assert all(2 * (m >> n).bit_count() == m.bit_count() for m in members)
+
+
+def test_union_partition_stays_balanced_and_undo_restores_it():
+    # place the nodes of g1 in turn, trying each candidate of the node's cell:
+    # a failed place may have split cells before it met an unbalanced piece
+    pairs = list(_refinement_pairs()) + [(ROOK_4X4, SHRIKHANDE)]
+    rng = random.Random(31)
+    for n in (64, 128):
+        g = random_sparse_connected_graph(n, rng)
+        pairs.append((g, random_relabeling(double_edge_swap(g, rng), rng)))
+    failed = 0
+    for g1, g2 in pairs:
+        part = _equitable_partition(g1, g2)
+        if part is None:
+            continue
+        n = g1.node_count
+        _assert_balanced(part, n)
+        for v in range(n):
+            mark = len(part.trail)
+            snapshot = (list(part.cell), list(part.members))
+            for w in bits(part.members[part.cell[v]] >> n):
+                if part.place(v, w):
+                    _assert_balanced(part, n)
+                    break
+                failed += 1
+                part.undo(mark)
+                assert (part.cell, part.members, len(part.trail)) == (*snapshot, mark)
+            else:
+                break
+    assert failed > 0
 
 
 def test_mismatched_counts_fail_fast():
