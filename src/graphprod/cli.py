@@ -222,24 +222,14 @@ def _flag(value: bool) -> str:
 def _cmd_classg(args, started: float) -> int:
     g = read_edge_list(args.file)
     report = reduction.class_g_check(g)
+    flags = {field: getattr(report, field) for field, _, _ in reduction.CLASS_G_PROPERTIES}
     human = [
         f"nodes={g.node_count} edges={g.edge_count} loops={g.loop_count} "
         f"nonzeros={g.nonzero_count}",
-        f"P1 connected and nonbipartite: {_flag(report.p1_connected_nonbipartite)}",
-        f"P2 prime node count:           {_flag(report.p2_prime_order)}",
-        f"P3 loops < edges:              {_flag(report.p3_loops_lt_edges)}",
-        f"P4 2m-s not divisible by 2:    {_flag(report.p4_not_div2)}",
-        f"P5 2m-s not divisible by 3:    {_flag(report.p5_not_div3)}",
+        *(f"{label + ':':31}{_flag(flags[p])}" for p, label, _ in reduction.CLASS_G_PROPERTIES),
         f"member: {_flag(report.member)}",
     ]
-    outcome: dict = {
-        "member": report.member,
-        "p1_connected_nonbipartite": report.p1_connected_nonbipartite,
-        "p2_prime_order": report.p2_prime_order,
-        "p3_loops_lt_edges": report.p3_loops_lt_edges,
-        "p4_not_div2": report.p4_not_div2,
-        "p5_not_div3": report.p5_not_div3,
-    }
+    outcome: dict = {"member": report.member, **flags}
     if args.pad or args.out:
         result = reduction.pad_to_class_g(g)
         pad_json = reduction.padding_result_to_json(result)

@@ -68,9 +68,19 @@ class PreconditionError(GraphProdError, ValueError):
         self.report = report
 
 
+def as_int(x, message: str) -> int:
+    """``x`` as a Python int, numpy integers included; anything else raises ``message``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise PreconditionError(message) from None
+
+
 def check_node_limit(order: int, node_limit: int | None, what: str) -> None:
     """Raise :class:`SizeLimitError` if ``order`` exceeds ``node_limit``; None is no bound."""
-    if node_limit is not None and order > node_limit:
+    if node_limit is None:
+        return
+    if order > as_int(node_limit, "node_limit must be an integer or None"):
         raise SizeLimitError(f"{what} order {order} exceeds the {node_limit}-node bound")
 
 
@@ -103,10 +113,7 @@ class Graph:
     loop_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            n = index(self.node_count)
-        except TypeError:
-            raise PreconditionError("node_count must be an integer") from None
+        n = as_int(self.node_count, "node_count must be an integer")
         if n < 0:
             raise PreconditionError("node_count must be nonnegative")
         normalized = set()
@@ -172,9 +179,17 @@ class Graph:
 
 
 def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
-    """Apply a node bijection: node v of ``g`` becomes ``mapping[v]``."""
+    """Apply a node bijection: node v of ``g`` becomes ``mapping[v]``.
+
+    The one check that a mapping is a permutation of 0..n-1.  Labels are read
+    as :class:`Graph` reads endpoints, numpy integers included.
+    """
     n = g.node_count
-    if len(mapping) != n or sorted(mapping) != list(range(n)):
+    try:
+        mapping = list(map(index, mapping))
+    except TypeError:  # not a sequence of integers
+        mapping = None
+    if mapping is None or sorted(mapping) != list(range(n)):
         raise PreconditionError("mapping must be a permutation of 0..n-1")
     return Graph(n, frozenset((mapping[u], mapping[v]) for u, v in g.edges))
 
@@ -248,15 +263,14 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
-    """Subgraph on ``nodes``, renumbered by their position in the sequence."""
-    index = {v: i for i, v in enumerate(nodes)}
-    if len(index) != len(nodes):
+    """Subgraph on ``nodes``, distinct nodes of ``g``, renumbered by their position."""
+    position = {as_int(v, "nodes must be integers"): i for i, v in enumerate(nodes)}
+    if len(position) != len(nodes):
         raise PreconditionError("nodes must be distinct")
-    edges = {
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    }
+    for v in position:
+        if not 0 <= v < g.node_count:
+            raise PreconditionError(f"node {v} out of range for {g.node_count} nodes")
+    edges = {(position[u], position[v]) for u, v in g.edges if u in position and v in position}
     return Graph(len(nodes), frozenset(edges))
 
 
@@ -292,7 +306,10 @@ def graph_from_adjacency(mat: np.ndarray) -> Graph:
     """Inverse of :func:`adjacency_matrix`; validates symmetry and 0/1 entries."""
     import numpy as np
 
-    mat = np.asarray(mat)
+    try:
+        mat = np.asarray(mat)
+    except ValueError:  # a ragged nested sequence
+        raise PreconditionError("adjacency matrix must be square") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise PreconditionError("adjacency matrix must be square")
     if not np.array_equal(mat, mat.T):

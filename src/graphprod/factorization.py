@@ -91,6 +91,7 @@ from .core import (
     Graph,
     InternalError,
     PreconditionError,
+    as_int,
     bits,
     breadth_first,
     check_node_limit,
@@ -125,16 +126,21 @@ class FactorizationWitness:
 
 
 def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
-    """Recompute direct(factor_a, factor_b) and compare against relabelled g."""
+    """Recompute direct(factor_a, factor_b) and compare against relabelled g.
+
+    False unless the labeling's integer pairs cover range(a) x range(b) once each.
+    """
     a = w.factor_a.node_count
     b = w.factor_b.node_count
-    if a < 2 or b < 2 or a * b != g.node_count or len(w.labeling) != g.node_count:
+    if a < 2 or b < 2 or a * b != g.node_count:
         return False
-    try:  # -1 stands for a pair outside range(a) x range(b), so relabel refuses it
+    try:
         pairs = [(index(r), index(c)) for r, c in w.labeling]
-        moved = relabel(g, [r * b + c if 0 <= r < a and 0 <= c < b else -1 for r, c in pairs])
-    except (TypeError, ValueError):  # a label that is not a pair of integers, or no permutation
+    except (TypeError, ValueError):  # not a sequence of integer pairs
         return False
+    if sorted(pairs) != list(product(range(a), range(b))):
+        return False
+    moved = relabel(g, [r * b + c for r, c in pairs])
     return moved.edges == direct_product(w.factor_a, w.factor_b, node_limit=None).edges
 
 
@@ -464,6 +470,7 @@ def factor_search(
     witnesses are re-verified by product recomputation before return.
     """
     check_node_limit(g.node_count, node_limit, "graph")
+    a, b = (as_int(x, "factor orders must be integers") for x in (a, b))
     if a < 2 or b < 2 or a > b:
         raise PreconditionError("factor orders must satisfy 2 <= a <= b")
     if a * b != g.node_count:

@@ -53,7 +53,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import index
 from typing import Sequence
 
 from .core import (
@@ -77,13 +76,10 @@ class IsomorphismWitness:
 
 def is_isomorphism(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     """True iff ``mapping`` sends the edge set of g1 exactly onto g2's."""
-    if g1.node_count != g2.node_count:
-        return False
     try:
-        moved = relabel(g1, list(map(index, mapping)))
-    except (TypeError, PreconditionError):  # a label that is not an integer, or no permutation
+        return g1.node_count == g2.node_count and relabel(g1, mapping).edges == g2.edges
+    except PreconditionError:  # not a permutation of g1's nodes
         return False
-    return moved.edges == g2.edges
 
 
 class _Partition:

@@ -33,6 +33,7 @@ from .core import (
     Graph,
     InternalError,
     PreconditionError,
+    as_int,
     disjoint_union,
     format_edge_list,
     is_bipartite,
@@ -40,6 +41,17 @@ from .core import (
 )
 
 CompositenessOracle = Callable[[Graph], bool]
+
+
+# One row per class G property: ClassGReport field, CLI label, violation text.
+CLASS_G_PROPERTIES = (
+    ("p1_connected_nonbipartite", "P1 connected and nonbipartite",
+     "P1: not connected and nonbipartite"),
+    ("p2_prime_order", "P2 prime node count", "P2: node count is not prime"),
+    ("p3_loops_lt_edges", "P3 loops < edges", "P3: self-loops do not number fewer than edges"),
+    ("p4_not_div2", "P4 2m-s not divisible by 2", "P4: 2m - s is divisible by 2"),
+    ("p5_not_div3", "P5 2m-s not divisible by 3", "P5: 2m - s is divisible by 3"),
+)
 
 
 @dataclass(frozen=True)
@@ -54,18 +66,7 @@ class ClassGReport:
     p5_not_div3: bool
 
     def violations(self) -> list[str]:
-        out = []
-        if not self.p1_connected_nonbipartite:
-            out.append("P1: not connected and nonbipartite")
-        if not self.p2_prime_order:
-            out.append("P2: node count is not prime")
-        if not self.p3_loops_lt_edges:
-            out.append("P3: self-loops do not number fewer than edges")
-        if not self.p4_not_div2:
-            out.append("P4: 2m - s is divisible by 2")
-        if not self.p5_not_div3:
-            out.append("P5: 2m - s is divisible by 3")
-        return out
+        return [text for field, _, text in CLASS_G_PROPERTIES if not getattr(self, field)]
 
 
 def is_prime_int(x: int) -> bool:
@@ -113,6 +114,7 @@ def div2div3_offset(t: int) -> int:
 
 def prime_in_bertrand_range(n: int) -> int:
     """Smallest prime p with 2n < p < 4n (exists for every n >= 2)."""
+    n = as_int(n, "n must be an integer")
     if n < 2:
         raise PreconditionError("need n >= 2")
     for p in range(2 * n + 1, 4 * n):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from itertools import permutations
+from operator import index
 
 from graphprod import Graph, are_isomorphic, direct_product, disjoint_union, relabel
 from graphprod.reduction import class_g_check
@@ -325,3 +326,22 @@ def random_sparse_connected_graph(n: int, rng: random.Random) -> Graph:
         u = rng.randrange(n)
         edges.add((u, u))
     return Graph(n, frozenset(edges))
+
+
+def reference_witness_is_valid(g: Graph, w) -> bool:
+    """Factorization witness check as it stood before the one-comparison labeling test.
+
+    Kept verbatim as the reference of a differential test: a length test,
+    then each pair outside range(a) x range(b) becomes label -1, which
+    ``relabel`` refuses along with repeats.
+    """
+    a = w.factor_a.node_count
+    b = w.factor_b.node_count
+    if a < 2 or b < 2 or a * b != g.node_count or len(w.labeling) != g.node_count:
+        return False
+    try:  # -1 stands for a pair outside range(a) x range(b), so relabel refuses it
+        pairs = [(index(r), index(c)) for r, c in w.labeling]
+        moved = relabel(g, [r * b + c if 0 <= r < a and 0 <= c < b else -1 for r, c in pairs])
+    except (TypeError, ValueError):  # a label that is not a pair of integers, or no permutation
+        return False
+    return moved.edges == direct_product(w.factor_a, w.factor_b, node_limit=None).edges

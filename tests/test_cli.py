@@ -366,15 +366,45 @@ def test_iso_reduction_pads_each_input_once(monkeypatch, capsys):
 def test_classg_member_report(capsys):
     code, out, _ = run(capsys, "classg", path("c5_loop"))
     assert code == 0
-    assert "member: yes" in out
+    assert out == textwrap.dedent("""\
+        nodes=5 edges=6 loops=1 nonzeros=11
+        P1 connected and nonbipartite: yes
+        P2 prime node count:           yes
+        P3 loops < edges:              yes
+        P4 2m-s not divisible by 2:    yes
+        P5 2m-s not divisible by 3:    yes
+        member: yes
+        """)
 
 
 def test_classg_nonmember_report(capsys):
     code, out, _ = run(capsys, "classg", path("c4"))
     assert code == 0
-    assert "member: no" in out
-    assert "P1 connected and nonbipartite: no" in out
-    assert "P2 prime node count:           no" in out
+    assert out == textwrap.dedent("""\
+        nodes=4 edges=4 loops=0 nonzeros=8
+        P1 connected and nonbipartite: no
+        P2 prime node count:           no
+        P3 loops < edges:              yes
+        P4 2m-s not divisible by 2:    no
+        P5 2m-s not divisible by 3:    yes
+        member: no
+        """)
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [("c5_loop", [True] * 6), ("c4", [False, False, False, True, False, True])],
+)
+def test_classg_json_outcome(capsys, name, flags):
+    code, out, _ = run(capsys, "classg", "--json", path(name))
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    keys = [
+        "member", "p1_connected_nonbipartite", "p2_prime_order",
+        "p3_loops_lt_edges", "p4_not_div2", "p5_not_div3",
+    ]
+    assert list(outcome) == keys  # key order included
+    assert outcome == dict(zip(keys, flags))
 
 
 def test_classg_pad(capsys, tmp_path):

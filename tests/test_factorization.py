@@ -31,6 +31,7 @@ from graphprod import (
     is_prime_direct,
     isomorphism_from_union_factorization,
     pad_to_class_g,
+    prime_in_bertrand_range,
     relabel,
     search_oracle,
     two_block_survivors,
@@ -82,6 +83,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_relabeling,
+    reference_witness_is_valid,
 )
 
 C5_LOOP_PERM = NAMED["c5_loop_perm"]
@@ -187,6 +189,33 @@ def test_argument_and_size_errors():
         is_prime_direct(Graph(0))
 
 
+K2_X_C3 = direct_product(K2, C3)
+NOT_AN_ORDER = "^factor orders must be integers$"
+NOT_A_LIMIT = "^node_limit must be an integer or None$"
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: factor_search(K2_X_C3, 2.0, 3.0), NOT_AN_ORDER),
+        (lambda: factor_search(K2_X_C3, "2", 3), NOT_AN_ORDER),
+        (lambda: find_factorization(K2_X_C3, node_limit="5"), NOT_A_LIMIT),
+        (lambda: find_factorization(K2_X_C3, node_limit=2.5), NOT_A_LIMIT),
+        (lambda: are_isomorphic(C3, C3, node_limit="5"), NOT_A_LIMIT),
+        (lambda: prime_in_bertrand_range(2.5), "^n must be an integer$"),
+        (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(K2, C3, None)), None),
+    ],
+    ids=["float-orders", "str-order", "str-limit", "float-limit", "iso-str-limit",
+         "float-bertrand", "none-labeling"],
+)
+def test_non_integer_orders_bounds_and_labelings_are_refused(call, refusal):
+    if refusal is None:  # a predicate answers False instead of raising
+        assert call() is False
+    else:
+        with pytest.raises(PreconditionError, match=refusal):
+            call()
+
+
 def test_search_is_deterministic():
     union = disjoint_union(C5_LOOP, C5_LOOP)
     assert factor_search(union, 2, 5) == factor_search(union, 2, 5)
@@ -259,6 +288,38 @@ def test_golden_witnesses_are_unchanged():
         h.update(repr(key).encode() + b"\n")
     assert (found, total) == GOLDEN_COUNTS
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def _labeling_mutations(labeling):
+    """Nine corruptions of a witness labeling, each a list of (row, column) pairs."""
+    cells = list(labeling)
+    yield cells[:-1]  # short
+    yield cells[:-1] + cells[:1]  # repeated cell
+    yield cells + cells[:1]  # extra pair
+    yield [(r + 1, c) for r, c in cells]
+    yield [(r, c + 99) for r, c in cells]
+    yield [(-1, 0)] + cells[1:]
+    yield [(float(r), float(c)) for r, c in cells]
+    yield cells[1:] + cells[:1]  # rotated
+    yield [(c, r) for r, c in cells]
+
+
+def test_witness_check_agrees_with_the_reference_on_mutated_golden_witnesses():
+    checked = accepted = 0
+    for search in _golden_searches():
+        w = search()
+        if w is None:
+            continue
+        g = search.__defaults__[0]  # every golden search takes its input graph first
+        assert witness_is_valid(g, w) and reference_witness_is_valid(g, w)
+        for labeling in _labeling_mutations(w.labeling):
+            mutated = FactorizationWitness(w.factor_a, w.factor_b, tuple(labeling))
+            got = witness_is_valid(g, mutated)
+            assert got is reference_witness_is_valid(g, mutated), labeling
+            checked += 1
+            accepted += got
+    assert checked == 9 * GOLDEN_COUNTS[0]
+    assert 0 < accepted < checked  # some rotations and swaps still factor g
 
 
 # -- left factors up to isomorphism --------------------------------------------

@@ -176,6 +176,15 @@ def test_connected_components_and_induced_subgraph():
     assert sub == add_loops(K2, [1])
     with pytest.raises(PreconditionError, match="^nodes must be distinct$"):
         induced_subgraph(u, [3, 3])
+    assert induced_subgraph(C3, np.array([2, 0])) == K2  # numpy integers are node ids too
+    for nodes, message in (
+        ([0, 5], r"^node 5 out of range for 3 nodes$"),
+        ([-1, 0], r"^node -1 out of range for 3 nodes$"),
+        ([0.0, 1.0], "^nodes must be integers$"),
+        (["0"], "^nodes must be integers$"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            induced_subgraph(C3, nodes)
 
 
 def _multi_component_graphs(rng, count=300, max_nodes=12):
@@ -243,8 +252,20 @@ def test_relabel_is_inverse_friendly():
         for i, p in enumerate(perm):
             inv[p] = i
         assert relabel(relabel(g, perm), inv) == g
-    with pytest.raises(PreconditionError, match=r"^mapping must be a permutation of 0\.\.n-1$"):
-        relabel(K2, [0, 0])
+    assert relabel(K2, np.array([1, 0])) == K2  # numpy integers are labels too
+    for g, mapping in (
+        (K2, [0, 0]),
+        (K2, [0, 1, 2]),
+        (K2, [1]),
+        (C3, [0.0, 1.0, 2.0]),
+        (C3, ["0", "1", "2"]),
+        (C3, None),
+        (Graph(0), None),
+    ):
+        with pytest.raises(
+            PreconditionError, match=r"^mapping must be a permutation of 0\.\.n-1$"
+        ):
+            relabel(g, mapping)
 
 
 def test_adjacency_round_trip():
@@ -261,6 +282,8 @@ def test_graph_from_adjacency_validation():
         graph_from_adjacency(np.array([[2]]))
     with pytest.raises(PreconditionError, match="must be square"):
         graph_from_adjacency(np.zeros((2, 3), dtype=int))
+    with pytest.raises(PreconditionError, match="must be square"):
+        graph_from_adjacency([[0, 1], [1]])  # ragged
 
 
 # -- edge-list format ---------------------------------------------------------
