@@ -162,14 +162,11 @@ def _cmd_iso(args, started: float) -> int:
     g2 = read_edge_list(args.file2)
     inputs = [args.file1, args.file2]
     env = _env_limit()
+    biggest = max(g1.node_count, g2.node_count)
+    if env is not None and biggest > env:  # both modes, before any padding or search
+        raise SizeLimitError(f"input order {biggest} exceeds GRAPHPROD_MAX_NODES={env}")
     if args.mode == "direct":
-        biggest = max(g1.node_count, g2.node_count)
-        if env is not None:
-            if biggest > env:
-                raise SizeLimitError(
-                    f"input order {biggest} exceeds GRAPHPROD_MAX_NODES={env}"
-                )
-        elif biggest > isomorphism.DEFAULT_NODE_LIMIT:
+        if env is None and biggest > isomorphism.DEFAULT_NODE_LIMIT:
             print(
                 f"warning: {biggest} nodes exceeds the default "
                 f"{isomorphism.DEFAULT_NODE_LIMIT}-node bound; running anyway",

@@ -80,8 +80,9 @@ def check_node_limit(order: int, node_limit: int | None, what: str) -> None:
     """Raise :class:`SizeLimitError` if ``order`` exceeds ``node_limit``; None is no bound."""
     if node_limit is None:
         return
-    if order > as_int(node_limit, "node_limit must be an integer or None"):
-        raise SizeLimitError(f"{what} order {order} exceeds the {node_limit}-node bound")
+    limit = as_int(node_limit, "node_limit must be an integer or None")
+    if order > limit:
+        raise SizeLimitError(f"{what} order {order} exceeds the {limit}-node bound")
 
 
 class EdgeListParseError(GraphProdError):

@@ -46,9 +46,10 @@ breadth-first vertex order.  For each surviving A the engine backtracks
 over assignments of (row, col) labels to g's vertices.  Each row of B is a
 pair of column bitmasks (cells known to be 1, cells known to be 0),
 committed lazily as placements force them and undone exactly on backtrack.
-Per vertex and per row r of A the engine keeps the mask of columns whose
-row-r occupant is a neighbour, so checking a placement against every placed
-vertex costs O(a) big-int operations.  Three prunings keep exhaustive searches on ~20-node
+When a vertex's turn comes, one pass over its placed neighbours gives, per
+row r of A, the mask of columns whose row-r occupant is a neighbour, so
+checking each of its placements against every placed vertex costs O(a)
+big-int operations.  Three prunings keep exhaustive searches on ~20-node
 graphs inside desk scale, and each removes only branches that cannot
 complete, so they never change which witness is found first:
 
@@ -100,10 +101,8 @@ from .core import (
     induced_subgraph,
     is_bipartite,
     is_connected,
-    relabel,
 )
 from .isomorphism import IsomorphismWitness, are_isomorphic, is_isomorphism
-from .products import direct_product
 from .reduction import require_class_g
 from .skeleton import certifies_prime
 
@@ -126,12 +125,18 @@ class FactorizationWitness:
 
 
 def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
-    """Recompute direct(factor_a, factor_b) and compare against relabelled g.
+    """Whether g, relabelled by the witness, is direct(factor_a, factor_b).
 
-    False unless the labeling's integer pairs cover range(a) x range(b) once each.
+    False unless both factors are graphs and the labeling's integer pairs
+    cover range(a) x range(b) once each.  Each vertex v at (r, c) is then
+    checked on bitmask rows: the labels r' * b + c' of v's neighbours must be
+    exactly row r * b + c of A (x) B, which is B's row c shifted to block r'
+    for every r' with A[r][r'] = 1, read from the factors' own adjacency.
     """
-    a = w.factor_a.node_count
-    b = w.factor_b.node_count
+    fa, fb = w.factor_a, w.factor_b
+    if not (isinstance(fa, Graph) and isinstance(fb, Graph)):
+        return False
+    a, b = fa.node_count, fb.node_count
     if a < 2 or b < 2 or a * b != g.node_count:
         return False
     try:
@@ -140,8 +145,17 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
         return False
     if sorted(pairs) != list(product(range(a), range(b))):
         return False
-    moved = relabel(g, [r * b + c for r, c in pairs])
-    return moved.edges == direct_product(w.factor_a, w.factor_b, node_limit=None).edges
+    label = [r * b + c for r, c in pairs]
+    a_rows, b_rows = fa.adjacency_masks, fb.adjacency_masks
+    for mask, (r, c) in zip(g.adjacency_masks, pairs):
+        moved = expected = 0
+        for u in bits(mask):
+            moved |= 1 << label[u]
+        for s in bits(a_rows[r]):
+            expected |= b_rows[c] << s * b
+        if moved != expected:
+            return False
+    return True
 
 
 def witness_to_json(w: FactorizationWitness) -> dict:
@@ -320,9 +334,10 @@ class _FactorSearch:
     """Backtracking labeler for one fully specified left factor.
 
     Row k of B is two column bitmasks, ``ones[k]`` and ``zeros[k]``: the
-    cells known to be 1 and known to be 0.  ``nbr_cols[x * a + r]`` masks
-    the columns whose row-r occupant is a neighbour of vertex x, so checking
-    a placement against every placed vertex takes O(a) big-int operations.
+    cells known to be 1 and known to be 0.  ``rows[x]`` and ``cols[x]``
+    place vertex x, with ``rows[x] == -1`` while x is unplaced; from them
+    each depth reads, once, which columns of each row of A hold a neighbour
+    of the vertex it places.
     """
 
     def __init__(self, g: Graph, b: int, left: _LeftFactor):
@@ -344,7 +359,6 @@ class _FactorSearch:
         n = g.node_count
         self.ones = [0] * b
         self.zeros = [0] * b
-        self.nbr_cols = [0] * (n * a)
         self.occupied = [0] * a  # column mask per row of A
         # rowsum_B(c), fixed once column c holds a vertex in a row of A with
         # a nonzero row sum; -1 while unknown
@@ -352,8 +366,8 @@ class _FactorSearch:
         self.rows = [-1] * n
         self.cols = [-1] * n
 
-    def _toggle(self, v: int, r: int, c: int, new_one: int, new_zero: int) -> None:
-        """Place v at (r, c) with the B cells it forces, or take that back.
+    def _toggle(self, r: int, c: int, new_one: int, new_zero: int) -> None:
+        """Occupy (r, c) with the B cells it forces, or take that back.
 
         Every bit flipped is clear before placing, so one XOR does both.
         """
@@ -369,9 +383,6 @@ class _FactorSearch:
             low = new_zero & -new_zero
             zeros[low.bit_length() - 1] ^= bit
             new_zero ^= low
-        nbr_cols, a = self.nbr_cols, self.a
-        for x in self.nbrs[v]:
-            nbr_cols[x * a + r] ^= bit
         self.occupied[r] ^= bit
 
     def _placements(self, idx: int):
@@ -385,48 +396,59 @@ class _FactorSearch:
         row_range = self.allowed_rows[v]
         if idx == 0:
             row_range = [r for r in row_range if r in left.first_rows]
+        occupied, ones, zeros = self.occupied, self.ones, self.zeros
+        rows, cols = self.rows, self.cols
+        # near[s]: the columns whose row-s occupant is a neighbour of v
+        near = [0] * self.a
+        for x in self.nbrs[v]:
+            s = rows[x]
+            if s >= 0:
+                near[s] |= 1 << cols[x]
         # untouched columns of B are interchangeable: used ones + first fresh;
         # used columns always form a prefix of range(b)
-        occupied, ones, zeros = self.occupied, self.ones, self.zeros
         col_range = range(min(max(occupied).bit_length() + 1, self.b))
         d = self.rowsums[v]
         loop = self.g.adjacency_masks[v] >> v & 1
         b_rowsums = self.b_rowsums
-        nbr_cols = self.nbr_cols[v * self.a : (v + 1) * self.a]
         for r in row_range:
-            if any(nbr_cols[s] for s in left.unlinked[r]) or (loop and not left.cells[r][r]):
+            if loop and not left.cells[r][r]:
                 continue
-            # B row c must hold 1 at the column of every placed neighbour in a
-            # row A links to r, and 0 at every other placed column of those rows
-            one = zero = 0
-            for s in left.linked[r]:
-                one |= nbr_cols[s]
-                zero |= occupied[s] & ~nbr_cols[s]
-            ar = left.rowsums[r]
-            for c in col_range:
-                if occupied[r] >> c & 1:
-                    continue
-                # exact Kronecker prune: rowsum(v) = rowsum_A(r) * rowsum_B(c)
-                if b_rowsums[c] >= 0 and d != ar * b_rowsums[c]:
-                    continue
-                one_c, zero_c = one, zero
-                if left.cells[r][r]:
-                    if loop:
-                        one_c |= 1 << c
-                    else:
-                        zero_c |= 1 << c
-                if one_c & zero_c or one_c & zeros[c] or zero_c & ones[c]:
-                    continue
-                new_one, new_zero = one_c & ~ones[c], zero_c & ~zeros[c]
-                self._toggle(v, r, c, new_one, new_zero)
-                fixes_rowsum = ar > 0 and b_rowsums[c] < 0
-                if fixes_rowsum:
-                    b_rowsums[c] = d // ar
-                self.rows[v], self.cols[v] = r, c
-                yield True
-                if fixes_rowsum:
-                    b_rowsums[c] = -1
-                self._toggle(v, r, c, new_one, new_zero)
+            for s in left.unlinked[r]:
+                if near[s]:  # a placed neighbour in a row A does not link to r
+                    break
+            else:
+                # B row c must hold 1 at the column of every placed neighbour in
+                # a row A links to r, and 0 at every other placed column of those rows
+                one = zero = 0
+                for s in left.linked[r]:
+                    one |= near[s]
+                    zero |= occupied[s] & ~near[s]
+                ar = left.rowsums[r]
+                for c in col_range:
+                    if occupied[r] >> c & 1:
+                        continue
+                    # exact Kronecker prune: rowsum(v) = rowsum_A(r) * rowsum_B(c)
+                    if b_rowsums[c] >= 0 and d != ar * b_rowsums[c]:
+                        continue
+                    one_c, zero_c = one, zero
+                    if left.cells[r][r]:
+                        if loop:
+                            one_c |= 1 << c
+                        else:
+                            zero_c |= 1 << c
+                    if one_c & zero_c or one_c & zeros[c] or zero_c & ones[c]:
+                        continue
+                    new_one, new_zero = one_c & ~ones[c], zero_c & ~zeros[c]
+                    self._toggle(r, c, new_one, new_zero)
+                    fixes_rowsum = ar > 0 and b_rowsums[c] < 0
+                    if fixes_rowsum:
+                        b_rowsums[c] = d // ar
+                    rows[v], cols[v] = r, c
+                    yield True
+                    rows[v] = -1
+                    if fixes_rowsum:
+                        b_rowsums[c] = -1
+                    self._toggle(r, c, new_one, new_zero)
 
     def _finish(self) -> FactorizationWitness:
         cells = self.left.cells

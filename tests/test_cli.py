@@ -306,6 +306,17 @@ def test_iso_direct_env_bound_exit_3(monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", ["direct", "reduction"])
+def test_iso_env_bound_refuses_either_mode_before_any_search(mode, monkeypatch, capsys):
+    monkeypatch.setenv("GRAPHPROD_MAX_NODES", "2")
+    code, out, err = run(capsys, "iso", "--mode", mode, "--json", path("p3"), path("p3"))
+    assert code == 3
+    assert err == "error: input order 3 exceeds GRAPHPROD_MAX_NODES=2\n"
+    assert json.loads(out) == {
+        "command": "iso", "error": "input order 3 exceeds GRAPHPROD_MAX_NODES=2", "exit_code": 3
+    }
+
+
 def test_iso_direct_on_an_empty_graph_exit_4(tmp_path, capsys):
     empty = tmp_path / "empty.el"
     empty.write_text("0 0\n")

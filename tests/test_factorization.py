@@ -192,6 +192,7 @@ def test_argument_and_size_errors():
 K2_X_C3 = direct_product(K2, C3)
 NOT_AN_ORDER = "^factor orders must be integers$"
 NOT_A_LIMIT = "^node_limit must be an integer or None$"
+K2_X_C3_CELLS = tuple((r, c) for r in range(2) for c in range(3))
 
 
 @pytest.mark.parametrize(
@@ -204,9 +205,12 @@ NOT_A_LIMIT = "^node_limit must be an integer or None$"
         (lambda: are_isomorphic(C3, C3, node_limit="5"), NOT_A_LIMIT),
         (lambda: prime_in_bertrand_range(2.5), "^n must be an integer$"),
         (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(K2, C3, None)), None),
+        (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(None, C3, K2_X_C3_CELLS)), None),
+        (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(K2, (0, 1, 2), K2_X_C3_CELLS)),
+         None),
     ],
     ids=["float-orders", "str-order", "str-limit", "float-limit", "iso-str-limit",
-         "float-bertrand", "none-labeling"],
+         "float-bertrand", "none-labeling", "none-factor-a", "tuple-factor-b"],
 )
 def test_non_integer_orders_bounds_and_labelings_are_refused(call, refusal):
     if refusal is None:  # a predicate answers False instead of raising
@@ -272,6 +276,7 @@ def _golden_searches():
 # returned witness changes it
 GOLDEN_DIGEST = "790fa9758bbee6b6d8c2e36a597f0eaac34fee0b2c6724c4280b83675b041589"
 GOLDEN_COUNTS = (540, 856)  # (searches returning a witness, searches)
+GOLDEN_PLACEMENTS = 12736  # placements made over all of _golden_searches
 
 
 def test_golden_witnesses_are_unchanged():
@@ -304,6 +309,22 @@ def _labeling_mutations(labeling):
     yield [(c, r) for r, c in cells]
 
 
+def _toggled(f: Graph, u: int, v: int) -> Graph:
+    return Graph(f.node_count, f.edges ^ {(min(u, v), max(u, v))})
+
+
+def _factor_mutations(w):
+    """Five corruptions of a witness that keep its labeling a permutation of the cells."""
+    a, b = w.factor_a.node_count, w.factor_b.node_count
+    yield FactorizationWitness(w.factor_a, _toggled(w.factor_b, 0, b - 1), w.labeling)
+    yield FactorizationWitness(_toggled(w.factor_a, 0, 0), w.factor_b, w.labeling)
+    yield FactorizationWitness(_toggled(w.factor_a, 0, a - 1), w.factor_b, w.labeling)
+    loopless = frozenset((u, v) for u, v in w.factor_b.edges if u != v)
+    yield FactorizationWitness(w.factor_a, Graph(b, loopless), w.labeling)
+    shifted = tuple((r, (c + 1) % b) for r, c in w.labeling)
+    yield FactorizationWitness(w.factor_a, w.factor_b, shifted)
+
+
 def test_witness_check_agrees_with_the_reference_on_mutated_golden_witnesses():
     checked = accepted = 0
     for search in _golden_searches():
@@ -312,14 +333,34 @@ def test_witness_check_agrees_with_the_reference_on_mutated_golden_witnesses():
             continue
         g = search.__defaults__[0]  # every golden search takes its input graph first
         assert witness_is_valid(g, w) and reference_witness_is_valid(g, w)
-        for labeling in _labeling_mutations(w.labeling):
-            mutated = FactorizationWitness(w.factor_a, w.factor_b, tuple(labeling))
+        mutants = [
+            FactorizationWitness(w.factor_a, w.factor_b, tuple(labeling))
+            for labeling in _labeling_mutations(w.labeling)
+        ]
+        for mutated in mutants + list(_factor_mutations(w)):
             got = witness_is_valid(g, mutated)
-            assert got is reference_witness_is_valid(g, mutated), labeling
+            assert got is reference_witness_is_valid(g, mutated), mutated
             checked += 1
             accepted += got
-    assert checked == 9 * GOLDEN_COUNTS[0]
-    assert 0 < accepted < checked  # some rotations and swaps still factor g
+    assert checked == (9 + 5) * GOLDEN_COUNTS[0]
+    assert 0 < accepted < checked  # some rotations, swaps and shifts still factor g
+
+
+def test_golden_searches_make_the_same_placements(monkeypatch):
+    # the number of placements pins the search tree, not only its first leaf
+    placements = _FactorSearch._placements
+    count = 0
+
+    def counted(self, idx):
+        nonlocal count
+        for step in placements(self, idx):
+            count += 1
+            yield step
+
+    monkeypatch.setattr(_FactorSearch, "_placements", counted)
+    for search in _golden_searches():
+        search()
+    assert count == GOLDEN_PLACEMENTS
 
 
 # -- left factors up to isomorphism --------------------------------------------

@@ -353,6 +353,12 @@ def test_node_limit():
     assert are_isomorphic(big1, big2, node_limit=None) is not None
 
 
+def test_node_limit_message_names_the_integer_bound():
+    # True passes as the integer 1, and the message says 1
+    with pytest.raises(SizeLimitError, match="^input order 3 exceeds the 1-node bound$"):
+        are_isomorphic(C3, C3, node_limit=True)
+
+
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         are_isomorphic(Graph(0), Graph(0))
