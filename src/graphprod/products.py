@@ -126,6 +126,8 @@ def kronecker(
 
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.ndim == 0 or b.ndim == 0:
+        raise PreconditionError("kronecker needs operands with at least one axis")
     check_node_limit(a.shape[0] * b.shape[0], node_limit, "Kronecker result")
     return np.kron(a, b)
 

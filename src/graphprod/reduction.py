@@ -109,6 +109,7 @@ def require_class_g(g: Graph, which: str) -> None:
 
 def div2div3_offset(t: int) -> int:
     """Smallest offset d in {0..3} with t + d indivisible by 2 and by 3."""
+    t = as_int(t, "t must be an integer")
     return next(d for d in range(4) if (t + d) % 2 and (t + d) % 3)
 
 
@@ -199,7 +200,7 @@ def class_g_isomorphism(g1: Graph, g2: Graph, oracle: CompositenessOracle) -> bo
     require_class_g(g2, "second graph")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return False
-    return oracle(disjoint_union(g1, g2))
+    return bool(oracle(disjoint_union(g1, g2)))
 
 
 def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult] | None:
@@ -227,4 +228,4 @@ def graph_isomorphism_via_compositeness(
     oracle is asked once about the disjoint union of the padded graphs.
     """
     pads = pad_pair(g1, g2)
-    return pads is not None and oracle(disjoint_union(pads[0].padded, pads[1].padded))
+    return pads is not None and bool(oracle(disjoint_union(pads[0].padded, pads[1].padded)))

@@ -30,9 +30,10 @@ Theory 16, 1992) is the closure of two relations:
 * Θ relates edges xy and uv when d(x, u) + d(y, v) ≠ d(x, v) + d(y, u).
 
 :func:`certifies_prime` takes G to G/R, which is G itself when G is R-thin.
-It builds S(G/R), checks it is connected, and joins its edges under τ and
-then, only while more than one class is left, under Θ.  G is prime when one
-class remains and the sizes of G's R-classes have greatest common divisor 1.
+It builds S(G/R), checks it is connected, and closes one edge under τ and
+then, only if some edge is still outside, under τ ∪ Θ: σ has one class
+exactly when that σ-class holds every edge.  G is prime when it does and
+the sizes of G's R-classes have greatest common divisor 1.
 
 Why this is sound.  Suppose G = A × B with |A|, |B| >= 2.  A direct product
 is connected only if both factors are, and bipartite if either factor is,
@@ -147,6 +148,9 @@ def cartesian_skeleton(masks: Sequence[int]) -> list[int]:
 def certifies_prime(masks: Sequence[int]) -> bool:
     """True if the skeleton of G/R proves G prime; False claims nothing.
 
+    τ, and then τ ∪ Θ, are kept per edge as the bitmask of the edges related
+    to it; :func:`_closure` grows the class of edge 0 over each in turn.
+
     ``masks`` must describe a connected nonbipartite graph G; the caller
     checks that (the module docstring says why it matters).  When the sizes
     of G's R-classes have a common divisor above 1 nothing is claimed.
@@ -166,59 +170,59 @@ def certifies_prime(masks: Sequence[int]) -> bool:
     ends = [(u, v) for u in range(n) for v in bits(s[u] & -(2 << u))]
     if len(ends) < 2:
         return len(ends) == 1
-    eid = {}  # the id of edge uv, under u * n + v and under v * n + u
-    for e, (u, v) in enumerate(ends):
-        eid[u * n + v] = eid[v * n + u] = e
-    parent = list(range(len(ends)))
-    classes = len(ends)
-
-    def find(e: int) -> int:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    # τ: join xy and xz unless they span a chordless square
-    for x in range(n):
-        star = list(bits(s[x]))
-        closed = s[x] | 1 << x
-        for i, y in enumerate(star):
-            sy = s[y]
-            root = find(eid[x * n + y])
-            for z in star[i + 1 :]:
-                if sy >> z & 1 or not sy & s[z] & ~closed:
-                    other = find(eid[x * n + z])
-                    if other != root:
-                        parent[other] = root
-                        classes -= 1
-        if classes == 1:
-            return True
-    return _theta_joins(s, ends, [find(e) for e in range(len(ends))])
-
-
-def _theta_joins(s: Sequence[int], ends: list[tuple[int, int]], root: list[int]) -> bool:
-    """True if Θ joins the classes (edge e in class ``root[e]``) into one.
-
-    Edge uv, u < v, leans towards w when d(w, u) < d(w, v) and away from w
-    when d(w, u) > d(w, v).  As u and v are adjacent, d(w, u) - d(w, v) is
-    -1, 0 or 1, and the lean tells which.  The Θ condition for xy and uv
-    reads d(x, u) - d(x, v) ≠ d(y, u) - d(y, v): uv leans differently
-    towards x and towards y.  A breadth-first search over the classes
-    takes in every class holding an edge Θ-related to one already reached.
-    It starts from the smallest class: when G is composite the search must
-    exhaust a class of the factorization, and a small τ class tends to lie
-    in a small one.
-    """
-    n = len(s)
     at = [0] * n  # at[v]: the edges with an end at v, as a bitmask over edge ids
     low_at = [0] * n  # the edges whose smaller end is v
-    members: dict[int, int] = {}  # class root -> its edges
     for e, (u, v) in enumerate(ends):
         bit = 1 << e
         at[u] |= bit
         low_at[u] |= bit
         at[v] |= bit
-        members[root[e]] = members.get(root[e], 0) | bit
+    # τ: relate xy and xz unless they span a chordless square; S(G/R) is
+    # loop-free, so edge xy is the single bit of at[x] & at[y]
+    tau = [0] * len(ends)  # tau[e]: the edges τ-related to edge e
+    for x in range(n):
+        star = list(bits(s[x]))
+        closed = s[x] | 1 << x
+        for i, y in enumerate(star):
+            sy = s[y]
+            xy = at[x] & at[y]
+            for z in star[i + 1 :]:
+                if sy >> z & 1 or not sy & s[z] & ~closed:
+                    xz = at[x] & at[z]
+                    tau[xy.bit_length() - 1] |= xz
+                    tau[xz.bit_length() - 1] |= xy
+    every = (1 << len(ends)) - 1
+    seen = _closure(1, tau)
+    if seen == every:
+        return True
+    towards, away = _leans(s, at, low_at)
+    related = [t | towards[x] ^ towards[y] | away[x] ^ away[y] for t, (x, y) in zip(tau, ends)]
+    return _closure(seen, related) == every
+
+
+def _closure(seen: int, related: Sequence[int]) -> int:
+    """The edges reached from the edge set ``seen``; bit f of ``related[e]`` relates e and f."""
+    frontier = seen
+    while frontier:
+        reach = 0
+        for e in bits(frontier):
+            reach |= related[e]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen
+
+
+def _leans(s: Sequence[int], at: list[int], low_at: list[int]) -> tuple[list[int], list[int]]:
+    """The edges that lean towards and away from each vertex w, as bitmasks over edge ids.
+
+    Edge uv, u < v, leans towards w when d(w, u) < d(w, v) and away from w
+    when d(w, u) > d(w, v).  As u and v are adjacent, d(w, u) - d(w, v) is
+    -1, 0 or 1, and the lean tells which.  The Θ condition for xy and uv
+    reads d(x, u) - d(x, v) ≠ d(y, u) - d(y, v): uv leans differently
+    towards x and towards y, so the edges Θ-related to xy are
+    ``towards[x] ^ towards[y] | away[x] ^ away[y]``.
+    """
+    n = len(s)
     towards = [0] * n
     away = [0] * n
     for w in range(n):
@@ -241,15 +245,4 @@ def _theta_joins(s: Sequence[int], ends: list[tuple[int, int]], root: list[int])
             seen |= level
         towards[w] = lean
         away[w] = apart & ~lean
-    seen = frontier = min(members.values(), key=int.bit_count)
-    while frontier:
-        reach = 0
-        for e in bits(frontier):
-            x, y = ends[e]
-            reach |= towards[x] ^ towards[y] | away[x] ^ away[y]
-        frontier = 0
-        for edges in members.values():
-            if edges & reach & ~seen:
-                frontier |= edges
-        seen |= frontier
-    return seen == (1 << len(ends)) - 1
+    return towards, away

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from collections.abc import Sequence
 from itertools import permutations
+from math import gcd
 from operator import index
 
 from graphprod import Graph, are_isomorphic, direct_product, disjoint_union, relabel
+from graphprod.core import bits, breadth_first
 from graphprod.reduction import class_g_check
+from graphprod.skeleton import cartesian_skeleton
 
 # -- enumeration --------------------------------------------------------------
 
@@ -345,3 +349,117 @@ def reference_witness_is_valid(g: Graph, w) -> bool:
     except (TypeError, ValueError):  # a label that is not a pair of integers, or no permutation
         return False
     return moved.edges == direct_product(w.factor_a, w.factor_b, node_limit=None).edges
+
+
+def reference_certifies_prime(masks: Sequence[int]) -> bool:
+    """The prime certificate as it stood with a union-find for τ and a class BFS for Θ.
+
+    Kept verbatim as the reference of a differential test.  True if the
+    skeleton of G/R proves G prime; False claims nothing.
+
+    ``masks`` must describe a connected nonbipartite graph G; the caller
+    checks that (the module docstring says why it matters).  When the sizes
+    of G's R-classes have a common divisor above 1 nothing is claimed.
+    """
+    classes: dict[int, list[int]] = {}  # neighbourhood -> its vertices
+    for v, mask in enumerate(masks):
+        classes.setdefault(mask, []).append(v)
+    if len(classes) < len(masks):
+        if gcd(*map(len, classes.values())) != 1:
+            return False
+        reps = [members[0] for members in classes.values()]
+        masks = [sum(1 << i for i, r in enumerate(reps) if mask >> r & 1) for mask in classes]
+    s = cartesian_skeleton(masks)
+    n = len(s)
+    if len(breadth_first(s).starts) != 1:  # S(G/R) must be connected
+        return False
+    ends = [(u, v) for u in range(n) for v in bits(s[u] & -(2 << u))]
+    if len(ends) < 2:
+        return len(ends) == 1
+    eid = {}  # the id of edge uv, under u * n + v and under v * n + u
+    for e, (u, v) in enumerate(ends):
+        eid[u * n + v] = eid[v * n + u] = e
+    parent = list(range(len(ends)))
+    classes = len(ends)
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    # τ: join xy and xz unless they span a chordless square
+    for x in range(n):
+        star = list(bits(s[x]))
+        closed = s[x] | 1 << x
+        for i, y in enumerate(star):
+            sy = s[y]
+            root = find(eid[x * n + y])
+            for z in star[i + 1 :]:
+                if sy >> z & 1 or not sy & s[z] & ~closed:
+                    other = find(eid[x * n + z])
+                    if other != root:
+                        parent[other] = root
+                        classes -= 1
+        if classes == 1:
+            return True
+    return _reference_theta_joins(s, ends, [find(e) for e in range(len(ends))])
+
+
+def _reference_theta_joins(s: Sequence[int], ends: list[tuple[int, int]], root: list[int]) -> bool:
+    """True if Θ joins the classes (edge e in class ``root[e]``) into one.
+
+    Edge uv, u < v, leans towards w when d(w, u) < d(w, v) and away from w
+    when d(w, u) > d(w, v).  As u and v are adjacent, d(w, u) - d(w, v) is
+    -1, 0 or 1, and the lean tells which.  The Θ condition for xy and uv
+    reads d(x, u) - d(x, v) ≠ d(y, u) - d(y, v): uv leans differently
+    towards x and towards y.  A breadth-first search over the classes
+    takes in every class holding an edge Θ-related to one already reached.
+    It starts from the smallest class: when G is composite the search must
+    exhaust a class of the factorization, and a small τ class tends to lie
+    in a small one.
+    """
+    n = len(s)
+    at = [0] * n  # at[v]: the edges with an end at v, as a bitmask over edge ids
+    low_at = [0] * n  # the edges whose smaller end is v
+    members: dict[int, int] = {}  # class root -> its edges
+    for e, (u, v) in enumerate(ends):
+        bit = 1 << e
+        at[u] |= bit
+        low_at[u] |= bit
+        at[v] |= bit
+        members[root[e]] = members.get(root[e], 0) | bit
+    towards = [0] * n
+    away = [0] * n
+    for w in range(n):
+        # the edges between distance levels k and k + 1 of w are the edges
+        # with exactly one end within distance k: an XOR of the at[] masks
+        cut = lean = apart = 0
+        seen = level = 1 << w
+        while level:
+            reach = low = 0
+            while level:
+                bit = level & -level
+                v = bit.bit_length() - 1
+                cut ^= at[v]
+                low |= low_at[v]
+                reach |= s[v]
+                level ^= bit
+            lean |= cut & low  # from level k to k + 1, smaller end at level k
+            apart |= cut
+            level = reach & ~seen
+            seen |= level
+        towards[w] = lean
+        away[w] = apart & ~lean
+    seen = frontier = min(members.values(), key=int.bit_count)
+    while frontier:
+        reach = 0
+        for e in bits(frontier):
+            x, y = ends[e]
+            reach |= towards[x] ^ towards[y] | away[x] ^ away[y]
+        frontier = 0
+        for edges in members.values():
+            if edges & reach & ~seen:
+                frontier |= edges
+        seen |= frontier
+    return seen == (1 << len(ends)) - 1

@@ -20,6 +20,7 @@ from graphprod import (
     are_isomorphic,
     direct_product,
     disjoint_union,
+    div2div3_offset,
     elimination_oracle,
     factor_search,
     factorization_from_isomorphism,
@@ -204,13 +205,16 @@ K2_X_C3_CELLS = tuple((r, c) for r in range(2) for c in range(3))
         (lambda: find_factorization(K2_X_C3, node_limit=2.5), NOT_A_LIMIT),
         (lambda: are_isomorphic(C3, C3, node_limit="5"), NOT_A_LIMIT),
         (lambda: prime_in_bertrand_range(2.5), "^n must be an integer$"),
+        (lambda: div2div3_offset(1.5), "^t must be an integer$"),
+        (lambda: div2div3_offset("a"), "^t must be an integer$"),
         (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(K2, C3, None)), None),
         (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(None, C3, K2_X_C3_CELLS)), None),
         (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(K2, (0, 1, 2), K2_X_C3_CELLS)),
          None),
     ],
     ids=["float-orders", "str-order", "str-limit", "float-limit", "iso-str-limit",
-         "float-bertrand", "none-labeling", "none-factor-a", "tuple-factor-b"],
+         "float-bertrand", "float-offset", "str-offset", "none-labeling", "none-factor-a",
+         "tuple-factor-b"],
 )
 def test_non_integer_orders_bounds_and_labelings_are_refused(call, refusal):
     if refusal is None:  # a predicate answers False instead of raising

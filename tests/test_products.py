@@ -109,6 +109,13 @@ def test_kronecker_k2_k2_positions():
     assert np.array_equal(out, want)
 
 
+def test_kronecker_refuses_an_operand_without_an_axis():
+    for a, b in [(np.array(1), np.array(2)), (np.eye(2), np.array(2)), (np.array(1), np.eye(2))]:
+        with pytest.raises(PreconditionError, match="^kronecker needs operands with at least one"):
+            kronecker(a, b)
+    assert np.array_equal(kronecker(np.array([1, 2]), np.array([3, 4])), [3, 4, 6, 8])
+
+
 def test_direct_adjacency_equals_kronecker_examples():
     assert verify_kronecker_identity(K2, K2)
     assert verify_kronecker_identity(L1, C5)

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,6 +294,13 @@ def test_general_driver_count_filter():
 
     assert graph_isomorphism_via_compositeness(C3, C4, oracle) is False
     assert calls == []
+
+
+def test_drivers_answer_a_bool_whatever_the_oracle_returns():
+    p4 = path_graph(4)
+    for answer, verdict in ((np.True_, True), (0, False)):
+        assert class_g_isomorphism(C5_LOOP, C5_LOOP, lambda g: answer) is verdict
+        assert graph_isomorphism_via_compositeness(p4, p4, lambda g: answer) is verdict
 
 
 def test_general_driver_exhaustive_tiny():

@@ -36,6 +36,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_relabeling,
+    reference_certifies_prime,
 )
 
 
@@ -193,6 +194,38 @@ def test_every_certified_near_composite_is_prime(a, b):
             certified += 1
             assert _exhaustively_prime(g), g
     assert certified >= 5
+
+
+def _differential_corpus(rng: random.Random):
+    """Small, random, product, one-swap near-product and twin-planted graphs."""
+    for n in range(2, 5):
+        yield from all_connected_graphs(n)
+    for _ in range(300):
+        n = rng.randint(5, 14)
+        extra_p, loop_p = rng.uniform(0.05, 0.6), rng.uniform(0.0, 0.5)
+        yield random_connected_graph(n, rng, extra_p=extra_p, loop_p=loop_p)
+    for _ in range(150):
+        fa = random_connected_graph(rng.randint(2, 4), rng, loop_p=rng.uniform(0.1, 0.6))
+        fb = random_connected_graph(rng.randint(2, 4), rng, loop_p=rng.uniform(0.1, 0.6))
+        g = random_relabeling(direct_product(fa, fb), rng)
+        yield g
+        yield random_relabeling(double_edge_swap(g, rng), rng)
+    for _ in range(150):
+        n, extra_p = rng.randint(3, 8), rng.uniform(0.1, 0.6)
+        fa = random_connected_graph(n, rng, extra_p=extra_p, loop_p=0.3)
+        sizes = [rng.choice([1, 1, 2, 3]) for _ in range(fa.node_count)]
+        yield random_relabeling(blow_up(fa, sizes), rng)
+
+
+def test_the_certificate_agrees_with_the_union_find_reference():
+    eligible = certified = 0
+    for g in _differential_corpus(random.Random(18)):
+        if _eligible(g):
+            eligible += 1
+            verdict = certifies_prime(g.adjacency_masks)
+            assert verdict == reference_certifies_prime(g.adjacency_masks), g
+            certified += verdict
+    assert eligible >= 1000 and certified >= 500 and eligible - certified >= 100
 
 
 def _refuse_to_search(*_args, **_kwargs):
