@@ -15,9 +15,9 @@ Every counting argument in :mod:`graphprod.factorization` and
 :mod:`graphprod.reduction` depends on the ``2*m - s`` rule; do not change it.
 
 Per-graph data is computed once and cached on the graph: adjacency rows as
-bitmasks (``Graph.adjacency_masks``), neighbour tuples (``Graph.neighbors``)
-and one breadth-first pass (:func:`breadth_first`, as ``Graph.traversal``),
-which answers connectivity, components and bipartiteness.
+bitmasks (``Graph.adjacency_masks``), the one adjacency view, and one pass of
+:func:`breadth_first` over them (``Graph.traversal``), for connectivity,
+components and bipartiteness.
 
 Every algorithm runs on these plain Python views.  numpy is imported only
 by the array helpers :func:`adjacency_matrix` and
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,9 +104,9 @@ class Graph:
     ``node_count`` and the endpoints of ``edges`` may be any integers, numpy's
     too, and are stored as Python ints; anything else is a precondition
     error.  Edges are normalized to ``(min, max)`` tuples on construction,
-    which also counts ``loop_count``, s, the number of self-loops.  Three
+    which also counts ``loop_count``, s, the number of self-loops.  Two
     views are computed on first use and cached on the instance:
-    ``adjacency_masks``, ``neighbors`` and ``traversal``.
+    ``adjacency_masks`` and the ``traversal`` built from it.
     """
 
     node_count: int
@@ -148,16 +148,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each node, the node itself left out, in edge-set order."""
-        nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            if u != v:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-        return tuple(map(tuple, nbrs))
 
     @cached_property
     def traversal(self) -> Traversal:
@@ -263,9 +253,13 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [sorted(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
 
 
-def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
+def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     """Subgraph on ``nodes``, distinct nodes of ``g``, renumbered by their position."""
-    position = {as_int(v, "nodes must be integers"): i for i, v in enumerate(nodes)}
+    try:  # read once, as an iterator would be used up
+        nodes = list(map(index, nodes))
+    except TypeError:  # not an iterable of integers
+        raise PreconditionError("nodes must be integers") from None
+    position = {v: i for i, v in enumerate(nodes)}
     if len(position) != len(nodes):
         raise PreconditionError("nodes must be distinct")
     for v in position:

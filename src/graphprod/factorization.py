@@ -40,9 +40,9 @@ there, the second does.
 
 Everything the search needs from g itself is cached on the graph (see
 :class:`graphprod.core.Graph`), so every split and every candidate A of one
-graph share it: adjacency rows as bitmasks, from which row sums, loop flags
-and the isolated-vertex count are read, neighbour tuples, and the
-breadth-first vertex order.  For each surviving A the engine backtracks
+graph share it: adjacency rows as bitmasks, from which row sums, loop flags,
+the isolated-vertex count and each vertex's placed neighbours are read, and
+the breadth-first vertex order.  For each surviving A the engine backtracks
 over assignments of (row, col) labels to g's vertices.  Each row of B is a
 pair of column bitmasks (cells known to be 1, cells known to be 0),
 committed lazily as placements force them and undone exactly on backtrack.
@@ -83,8 +83,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
-from operator import index, itemgetter
+from itertools import accumulate, permutations, product
+from operator import index, itemgetter, or_
 from typing import NamedTuple
 
 from .catalog import D2
@@ -335,9 +335,10 @@ class _FactorSearch:
 
     Row k of B is two column bitmasks, ``ones[k]`` and ``zeros[k]``: the
     cells known to be 1 and known to be 0.  ``rows[x]`` and ``cols[x]``
-    place vertex x, with ``rows[x] == -1`` while x is unplaced; from them
-    each depth reads, once, which columns of each row of A hold a neighbour
-    of the vertex it places.
+    place vertex x; they are read only for placed vertices.  ``back[idx]``
+    holds the neighbours of ``order[idx]`` placed before it, read from the
+    adjacency rows once per engine, so each depth reads, once, which columns
+    of each row of A hold a neighbour of the vertex it places.
     """
 
     def __init__(self, g: Graph, b: int, left: _LeftFactor):
@@ -346,9 +347,11 @@ class _FactorSearch:
         self.b = b
         self.left = left
         # g's views, read on every placement, bound to the engine once
-        self.order = g.traversal.order
-        self.nbrs = g.neighbors
-        self.rowsums = [mask.bit_count() for mask in g.adjacency_masks]
+        self.order = order = g.traversal.order
+        masks = g.adjacency_masks
+        before = accumulate((1 << v for v in order), or_, initial=0)  # placed-prefix masks
+        self.back = [tuple(bits(masks[v] & placed)) for v, placed in zip(order, before)]
+        self.rowsums = [mask.bit_count() for mask in masks]
         # row sums multiply across a Kronecker product, so vertex v fits in
         # row r only if rowsum_A(r) divides its adjacency row sum
         self.allowed_rows = [
@@ -400,10 +403,8 @@ class _FactorSearch:
         rows, cols = self.rows, self.cols
         # near[s]: the columns whose row-s occupant is a neighbour of v
         near = [0] * self.a
-        for x in self.nbrs[v]:
-            s = rows[x]
-            if s >= 0:
-                near[s] |= 1 << cols[x]
+        for x in self.back[idx]:
+            near[rows[x]] |= 1 << cols[x]
         # untouched columns of B are interchangeable: used ones + first fresh;
         # used columns always form a prefix of range(b)
         col_range = range(min(max(occupied).bit_length() + 1, self.b))
@@ -445,7 +446,6 @@ class _FactorSearch:
                         b_rowsums[c] = d // ar
                     rows[v], cols[v] = r, c
                     yield True
-                    rows[v] = -1
                     if fixes_rowsum:
                         b_rowsums[c] = -1
                     self._toggle(r, c, new_one, new_zero)
@@ -577,7 +577,7 @@ def factorization_from_isomorphism(
     row 1 at the position of their preimage under the isomorphism.
     """
     n = _require_connected_pair(g1, g2, "doubling factorization")
-    if not is_isomorphism(g1, g2, witness.mapping):
+    if not is_isomorphism(g1, g2, getattr(witness, "mapping", None)):
         raise PreconditionError("witness is not an isomorphism from g1 to g2")
     inverse = [0] * n
     for src, dst in enumerate(witness.mapping):

@@ -87,7 +87,7 @@ class _Partition:
 
     Node v of g1 is union node v and node w of g2 is union node ``n + w``.
     ``members[c]`` is the bitmask of cell c, ``cell[x]`` the cell of union
-    node x and ``adj`` the union's neighbour tuples.  Every cell holds as
+    node x and ``adj`` the union's adjacency lists.  Every cell holds as
     many nodes of g1 as of g2; a piece that does not is a divergence.  A
     split appends new cells at the end; ``trail`` holds the cell each of
     them came from, in order, so :meth:`undo` can merge the last ones back.
@@ -186,7 +186,14 @@ def _fragments(
 def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
     """The equitable partition of g1 ⊔ g2 seeded by (degree, loop); None on divergence."""
     n = g1.node_count
-    keys = [(len(nbrs), (v, v) in g.edges) for g in (g1, g2) for v, nbrs in enumerate(g.neighbors)]
+    adj: list[list[int]] = [[] for _ in range(n + g2.node_count)]
+    for shift, g in ((0, g1), (n, g2)):
+        for u, v in g.edges:  # a loop is listed once, in its own list, as in the mask rows
+            adj[u + shift].append(v + shift)
+            if u != v:
+                adj[v + shift].append(u + shift)
+    # the seed parts looped from loop-free nodes, so a loop adds 1 to every count of its cell
+    keys = [(len(nbrs), x in nbrs) for x, nbrs in enumerate(adj)]
     palette = {key: c for c, key in enumerate(sorted(set(keys)))}
     cell = [palette[key] for key in keys]
     members = [0] * len(palette)
@@ -194,7 +201,6 @@ def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
         members[c] |= 1 << x
     if any(2 * (m >> n).bit_count() != m.bit_count() for m in members):
         return None
-    adj = g1.neighbors + tuple([x + n for x in nbrs] for nbrs in g2.neighbors)
     part = _Partition(n, adj, cell, members)
     # the degree seed is the split by the whole node set: skip its largest cell
     sizes = [m.bit_count() for m in members]
@@ -254,7 +260,7 @@ def are_isomorphic(
     if part is None:
         return None
     cell, members = part.cell, part.members
-    order = _processing_order(g1.neighbors, [members[cell[v]].bit_count() // 2 for v in range(n)])
+    order = _processing_order(part.adj[:n], [members[cell[v]].bit_count() // 2 for v in range(n)])
 
     mapping = [-1] * n
     start = [0] * n  # candidates below this node are already tried at each depth

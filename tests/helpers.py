@@ -178,7 +178,13 @@ def color_refinement(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None
     point: that engine returned as soon as the first graph's coloring was
     discrete, without the last round that can still tell the graphs apart.
     """
-    adj1, adj2 = g1.neighbors, g2.neighbors
+    # neighbour lists from has_edge alone, loops left out, so the reference
+    # shares no adjacency view with the code under test
+    adj1, adj2 = (
+        [[w for w in range(g.node_count) if w != v and g.has_edge(v, w)]
+         for v in range(g.node_count)]
+        for g in (g1, g2)
+    )
     colors1, colors2 = _recolor(
         [(len(adj1[v]), (v, v) in g1.edges) for v in range(g1.node_count)],
         [(len(adj2[v]), (v, v) in g2.edges) for v in range(g2.node_count)],

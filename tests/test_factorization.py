@@ -790,6 +790,9 @@ def test_forward_rejects_bad_inputs():
         factorization_from_isomorphism(C3, C3, IsomorphismWitness((0, 1)))
     with pytest.raises(PreconditionError, match=not_an_isomorphism):
         factorization_from_isomorphism(P3_END_LOOP, P3_MID_LOOP, IsomorphismWitness((0, 1, 2)))
+    for no_mapping in (None, (0, 1, 2)):  # anything without ``.mapping``
+        with pytest.raises(PreconditionError, match=not_an_isomorphism):
+            factorization_from_isomorphism(C3, C3, no_mapping)
     with pytest.raises(PreconditionError):
         factorization_from_isomorphism(
             disjoint_union(K2, K2),

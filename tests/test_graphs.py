@@ -177,11 +177,13 @@ def test_connected_components_and_induced_subgraph():
     with pytest.raises(PreconditionError, match="^nodes must be distinct$"):
         induced_subgraph(u, [3, 3])
     assert induced_subgraph(C3, np.array([2, 0])) == K2  # numpy integers are node ids too
+    assert induced_subgraph(C5, iter([0, 1])) == K2  # an iterator is read once
     for nodes, message in (
         ([0, 5], r"^node 5 out of range for 3 nodes$"),
         ([-1, 0], r"^node -1 out of range for 3 nodes$"),
         ([0.0, 1.0], "^nodes must be integers$"),
         (["0"], "^nodes must be integers$"),
+        (None, "^nodes must be integers$"),
     ):
         with pytest.raises(PreconditionError, match=message):
             induced_subgraph(C3, nodes)
@@ -222,7 +224,7 @@ def test_bipartition_returns_a_fresh_list():
     assert bipartition(C4) == [0, 1, 0, 1]
 
 
-def test_neighbors_match_a_set_based_reference():
+def test_adjacency_masks_match_a_set_based_reference():
     rng = random.Random(21)
     graphs = [g for n in range(5) for g in all_graphs(n)]
     graphs += [
@@ -231,13 +233,15 @@ def test_neighbors_match_a_set_based_reference():
     ]
     loops = 0
     for g in graphs:
-        nbrs = g.neighbors
-        assert isinstance(nbrs, tuple) and len(nbrs) == g.node_count
-        for v, row in enumerate(nbrs):
-            assert isinstance(row, tuple)
-            assert v not in row  # a loop is not a neighbour
-            assert len(row) == len(set(row)), g  # each neighbour once
-            assert set(row) == {w for w in range(g.node_count) if w != v and g.has_edge(v, w)}
+        masks = g.adjacency_masks
+        assert isinstance(masks, tuple) and len(masks) == g.node_count
+        for v, row in enumerate(masks):
+            assert isinstance(row, int) and 0 <= row < 1 << g.node_count
+            # bit w is set iff v and w are adjacent; a loop sets bit v
+            assert {w for w in range(g.node_count) if row >> w & 1} == {
+                w for w in range(g.node_count) if g.has_edge(v, w)
+            }, g
+            assert row >> v & 1 == g.has_edge(v, v)
         loops += g.loop_count
     assert loops > 0
 

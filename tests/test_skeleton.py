@@ -288,10 +288,10 @@ def test_the_certificate_runs_on_connected_nonbipartite_graphs(monkeypatch):
 
 def test_per_graph_data_is_derived_once_per_call(monkeypatch):
     built, walked, searched = [], [], []
-    neighbors = Graph.neighbors.func
-    counted = cached_property(lambda g: built.append(g) or neighbors(g))
-    counted.__set_name__(Graph, "neighbors")
-    monkeypatch.setattr(Graph, "neighbors", counted)
+    masks = Graph.adjacency_masks.func
+    counted = cached_property(lambda g: built.append(g) or masks(g))
+    counted.__set_name__(Graph, "adjacency_masks")
+    monkeypatch.setattr(Graph, "adjacency_masks", counted)
     walk = core.breadth_first
     monkeypatch.setattr(core, "breadth_first", lambda masks: walked.append(masks) or walk(masks))
     search = factorization.factor_search
