@@ -11,14 +11,16 @@ from __future__ import annotations
 from importlib import resources
 from typing import Iterable
 
-from .core import Graph, PreconditionError, disjoint_union, read_edge_list
+from .core import Graph, PreconditionError, as_int, disjoint_union, read_edge_list
 
 
 def path_graph(n: int) -> Graph:
+    n = as_int(n, "n must be an integer")
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = as_int(n, "n must be an integer")
     if n < 3:
         raise PreconditionError("a cycle needs at least 3 nodes")
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
@@ -26,10 +28,12 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center at node 0."""
+    leaves = as_int(leaves, "leaves must be an integer")
     return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
 
 
 def complete_graph(n: int) -> Graph:
+    n = as_int(n, "n must be an integer")
     return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 

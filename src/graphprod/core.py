@@ -330,6 +330,8 @@ def parse_edge_list(text: str) -> Graph:
     A header announcing more than :data:`MAX_HEADER_NODES` nodes raises
     :class:`SizeLimitError` before anything is sized by n.
     """
+    if not isinstance(text, str):
+        raise EdgeListParseError("edge-list text must be a str", 0)
     header: tuple[int, int] | None = None
     edges: set[Edge] = set()
     expected = 0

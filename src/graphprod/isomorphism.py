@@ -22,16 +22,16 @@ computes the initial partition from the split of the cell of all nodes by
 (degree, loop): the coarsest equitable one, which round-based colour
 refinement (1-WL) reaches too.
 
-The backtracker maps the nodes of the first graph in a fixed
-most-constrained-first order (from the initial cell sizes).  Placing v at w
-individualises them: both move to one fresh cell, which is the only splitter
-queued, and refinement runs again.  If it diverges the branch is pruned;
-otherwise the next node's candidates are the g2 members of its refined
-cell, tried in ascending order from a per-depth cursor.  A node whose cell
-is already a singleton (every node, once the partition is discrete) is
-placed without refining.  When every node is placed the partition is
-discrete and equitable, so the cells pair the nodes by an isomorphism;
-:func:`is_isomorphism` re-verifies it anyway.
+The backtracker maps the nodes of the first graph in a fixed order: smallest
+initial cell first, among the neighbours of placed nodes while any is
+unplaced.  Placing v at w individualises them: both move to one fresh cell,
+which is the only splitter queued, and refinement runs again.  If it
+diverges the branch is pruned; otherwise the next node's candidates are the
+g2 members of its refined cell, tried in ascending order from a per-depth
+cursor.  A node whose cell is already a singleton (every node, once the
+partition is discrete) is placed without refining.  When every node is
+placed the partition is discrete and equitable, so the cells pair the nodes
+by an isomorphism; :func:`is_isomorphism` re-verifies it anyway.
 
 Every cell split off is pushed on a trail, as the number of the cell it
 came from, and backtracking pops the trail down to the depth's mark, merging
@@ -212,29 +212,24 @@ def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
 def _processing_order(adj: Sequence[Sequence[int]], sizes: list[int]) -> list[int]:
     """Most-constrained-first order that stays connected where possible.
 
-    The next node is the unplaced frontier node (a neighbour of a placed
-    node) with the smallest ``(sizes[v], v)``, or the smallest
-    unplaced node by that key when the frontier is empty.  Both pools are
-    heaps; an entry for a node already placed is stale and skipped.
+    The next node is the smallest unplaced node by ``(sizes[v], v)`` in the
+    frontier (the neighbours of placed nodes), or overall if that is empty:
+    one heap holds each node as ``(1, size, v)``, and as ``(0, size, v)``
+    each time it joins the frontier; entries of placed nodes are skipped.
     """
-    n = len(adj)
     order: list[int] = []
-    placed = [False] * n
-    rest = [(sizes[v], v) for v in range(n)]
-    heapify(rest)
-    frontier: list[tuple[int, int]] = []
-    while len(order) < n:
-        while frontier and placed[frontier[0][1]]:
-            heappop(frontier)
-        pool = frontier or rest
-        while placed[pool[0][1]]:
-            heappop(pool)
-        best = heappop(pool)[1]
+    placed = [False] * len(adj)
+    heap = [(1, size, v) for v, size in enumerate(sizes)]
+    heapify(heap)
+    while len(order) < len(adj):
+        best = heappop(heap)[2]
+        if placed[best]:
+            continue
         order.append(best)
         placed[best] = True
         for w in adj[best]:
             if not placed[w]:
-                heappush(frontier, (sizes[w], w))
+                heappush(heap, (0, sizes[w], w))
     return order
 
 

@@ -196,6 +196,8 @@ def class_g_isomorphism(g1: Graph, g2: Graph, oracle: CompositenessOracle) -> bo
     otherwise the verdict is exactly the oracle's answer on the disjoint
     union.  Inputs outside class G are rejected with their membership report.
     """
+    if not callable(oracle):
+        raise PreconditionError("oracle must be callable")
     require_class_g(g1, "first graph")
     require_class_g(g2, "second graph")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
@@ -227,5 +229,7 @@ def graph_isomorphism_via_compositeness(
     Count filter first, then both graphs are padded into class G and the
     oracle is asked once about the disjoint union of the padded graphs.
     """
+    if not callable(oracle):
+        raise PreconditionError("oracle must be callable")
     pads = pad_pair(g1, g2)
     return pads is not None and bool(oracle(disjoint_union(pads[0].padded, pads[1].padded)))

@@ -30,29 +30,30 @@ Theory 16, 1992) is the closure of two relations:
 * Θ relates edges xy and uv when d(x, u) + d(y, v) ≠ d(x, v) + d(y, u).
 
 :func:`certifies_prime` takes G to G/R, which is G itself when G is R-thin.
-It builds S(G/R), checks it is connected, and closes one edge under τ and
-then, only if some edge is still outside, under τ ∪ Θ: σ has one class
-exactly when that σ-class holds every edge.  G is prime when it does and
-the sizes of G's R-classes have greatest common divisor 1.
+It builds S(G/R) and closes one edge under τ and then, only if some edge is
+still outside, under τ ∪ Θ: σ has one class exactly when that σ-class holds
+every edge.  G is prime when it does and the sizes of G's R-classes have
+greatest common divisor 1.
 
 Why this is sound.  Suppose G = A × B with |A|, |B| >= 2.  A direct product
-is connected only if both factors are, and bipartite if either factor is,
-so A and B are connected and nonbipartite; each has at least two vertices,
-so neither has an isolated vertex.  N_G((a, b)) = N_A(a) × N_B(b), with
-both sides nonempty, so equal neighbourhoods in A or in B would give equal
-neighbourhoods in G: A and B are R-thin.  Hence S(G) = S(A) □ S(B).  If
-S(G) is connected, so are S(A) and S(B), and each has an edge.  Call an
-edge of S(A) □ S(B) an A-edge if its ends differ in the A coordinate.  An
-A-edge (a, b)(a', b) and a B-edge (a, b)(a, b') with a common end span the
-chordless square through (a', b'), so τ never relates them.  Distances in a
-Cartesian product add over the coordinates, d = d_A + d_B, where d_A and
-d_B measure between the A and the B coordinates.  For an A-edge xy and a
-B-edge uv both sides of the Θ condition equal
+is connected only if both factors are, and bipartite if either factor is, so
+A and B are connected and nonbipartite; each has at least two vertices, so
+neither has an isolated vertex.  N_G((a, b)) = N_A(a) × N_B(b), with both
+sides nonempty, so equal neighbourhoods in A or in B would give equal
+neighbourhoods in G: A and B are R-thin.  Hence S(G) = S(A) □ S(B).  A
+σ-class stays in one component: τ relates edges with a common end, and Θ
+reads distances within a component.  If S(B) has no edge, S(G) is |B| >= 2
+copies of S(A): no edge, or edges in two components; likewise with A and B
+swapped.  Otherwise both have edges.  Call an edge of S(A) □ S(B) an A-edge
+if its ends differ in the A coordinate, else a B-edge.  An A-edge
+(a, b)(a', b) and a B-edge (a, b)(a, b') with a common end span the
+chordless square through (a', b'), so τ never relates them.  In a component
+of S(A) □ S(B) distances add over the coordinates, d = d_A + d_B.  For an
+A-edge xy and a B-edge uv both sides of the Θ condition equal
 d_A(x, u) + d_A(y, u) + d_B(x, u) + d_B(x, v), so Θ never relates them
-either.  The closure of Θ ∪ τ keeps the A-edges and the B-edges apart, and
-at least two classes remain.  So one class proves an R-thin G prime.  The
-converse fails: a prime graph may leave several classes, and then nothing
-is claimed.
+either.  No class holds both kinds, hence none holds every edge, and one
+class proves an R-thin G prime.  The converse fails: a prime graph may
+leave several classes, and then nothing is claimed.
 
 Why the quotient is sound.  Let G be connected and nonbipartite, and
 suppose G = A × B as above.  As N_G((a, b)) = N_A(a) × N_B(b) with both
@@ -84,7 +85,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
-from .core import bits, breadth_first
+from .core import bits
 
 
 def cartesian_skeleton(masks: Sequence[int]) -> list[int]:
@@ -151,9 +152,9 @@ def certifies_prime(masks: Sequence[int]) -> bool:
     τ, and then τ ∪ Θ, are kept per edge as the bitmask of the edges related
     to it; :func:`_closure` grows the class of edge 0 over each in turn.
 
-    ``masks`` must describe a connected nonbipartite graph G; the caller
-    checks that (the module docstring says why it matters).  When the sizes
-    of G's R-classes have a common divisor above 1 nothing is claimed.
+    ``masks`` must describe a connected nonbipartite graph G, as the caller
+    checks (the module docstring says why); S(G/R) need not be connected.
+    If G's R-class sizes share a divisor above 1 nothing is claimed.
     """
     classes: dict[int, list[int]] = {}  # neighbourhood -> its vertices
     for v, mask in enumerate(masks):
@@ -165,11 +166,9 @@ def certifies_prime(masks: Sequence[int]) -> bool:
         masks = [sum(1 << i for i, r in enumerate(reps) if mask >> r & 1) for mask in classes]
     s = cartesian_skeleton(masks)
     n = len(s)
-    if len(breadth_first(s).starts) != 1:  # S(G/R) must be connected
-        return False
     ends = [(u, v) for u in range(n) for v in bits(s[u] & -(2 << u))]
-    if len(ends) < 2:
-        return len(ends) == 1
+    if not ends:
+        return False
     at = [0] * n  # at[v]: the edges with an end at v, as a bitmask over edge ids
     low_at = [0] * n  # the edges whose smaller end is v
     for e, (u, v) in enumerate(ends):

@@ -162,6 +162,21 @@ def naive_isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def reference_processing_order(adj: Sequence[Sequence[int]], sizes: Sequence[int]) -> list[int]:
+    """The isomorphism search's node order by scans of every node per step, no heap.
+
+    The next node is the unplaced node smallest by ``(sizes[v], v)`` among
+    those listed in ``adj[u]`` for some placed u, or among all unplaced
+    nodes when none is.
+    """
+    order: list[int] = []
+    while len(order) < len(adj):
+        unplaced = [v for v in range(len(adj)) if v not in order]
+        frontier = [v for v in unplaced if any(v in adj[u] for u in order)]
+        order.append(min(frontier or unplaced, key=lambda v: (sizes[v], v)))
+    return order
+
+
 def _recolor(sig1: list, sig2: list) -> tuple[list[int], list[int]]:
     """Number the signatures of both graphs jointly, in sorted order."""
     palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}

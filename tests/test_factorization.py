@@ -174,6 +174,22 @@ def test_witness_rejects_a_short_labeling_and_a_repeated_cell():
         assert witness_is_valid(g, FactorizationWitness(K2, C3, tuple(labeling))) is False, labeling
 
 
+def test_witness_rejects_a_one_node_factor_and_orders_that_do_not_multiply_to_g():
+    g = direct_product(K2, C3)
+    # L1 x g is g itself, so only the order test refuses these labelings
+    identity = tuple((0, v) for v in range(6))
+    assert witness_is_valid(g, FactorizationWitness(L1, g, identity)) is False
+    assert witness_is_valid(g, FactorizationWitness(g, L1, tuple((v, 0) for v in range(6)))) is False
+    for fa, fb in ((K2, K2), (K2, C4), (C3, C3)):
+        cells = tuple((r, c) for r in range(fa.node_count) for c in range(fb.node_count))
+        assert witness_is_valid(g, FactorizationWitness(fa, fb, cells)) is False, (fa, fb)
+
+
+def test_search_oracle_calls_graphs_of_at_most_one_node_prime():
+    for g in (Graph(0), Graph(1), L1):
+        assert search_oracle(g) is False, g
+
+
 def test_argument_and_size_errors():
     union = disjoint_union(K2, K2)
     with pytest.raises(PreconditionError, match=r"^2 \* 3 != 4 nodes$"):

@@ -27,7 +27,18 @@ from graphprod import (
     relabel,
 )
 from graphprod.core import MAX_HEADER_NODES, breadth_first
-from graphprod.catalog import C3, C4, C5, K1_4, K2, add_loops, cycle_graph
+from graphprod.catalog import (
+    C3,
+    C4,
+    C5,
+    K1_4,
+    K2,
+    add_loops,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 
 from helpers import (
     all_graphs,
@@ -76,6 +87,22 @@ def test_out_of_range_edge_rejected():
 def test_malformed_graph_rejected(args, message):
     with pytest.raises(PreconditionError, match=f"^{message}$"):
         Graph(*args)
+
+
+@pytest.mark.parametrize(
+    "make, n, message",
+    [
+        (path_graph, 2.5, "n must be an integer"),
+        (cycle_graph, "5", "n must be an integer"),
+        (complete_graph, 2.5, "n must be an integer"),
+        (star_graph, 2.5, "leaves must be an integer"),
+        (star_graph, None, "leaves must be an integer"),
+    ],
+)
+def test_catalog_builders_refuse_a_size_that_is_not_an_integer(make, n, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        make(n)
+    assert make(np.int64(4)) == make(4)
 
 
 def test_numpy_integers_are_stored_as_python_ints():
@@ -325,6 +352,8 @@ def test_edge_list_round_trip(g):
         ("2 2\n0 1\n1 0\n", 3),  # duplicate of the same unordered edge
         ("2 2\n0 1\n", 1),  # header promises more edges than given
         ("2 0\n0 1\n", 2),  # more edges than promised
+        (b"2 1\n0 1\n", 0),  # not text: no line to point at
+        (None, 0),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

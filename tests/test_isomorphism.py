@@ -22,6 +22,7 @@ from helpers import (
     random_graph,
     random_relabeling,
     random_sparse_connected_graph,
+    reference_processing_order,
 )
 
 
@@ -229,6 +230,22 @@ def test_deep_search_does_not_recurse():
     moved = relabel(star, list(range(1, 1201)) + [0])
     w = are_isomorphic(star, moved, node_limit=None)
     assert w is not None and is_isomorphism(star, moved, w.mapping)
+
+
+def test_processing_order_matches_a_scanning_reference():
+    # random neighbour lists, disconnected ones included, with sizes drawn
+    # from few values so that ties are broken by node number
+    rng = random.Random(20)
+    disconnected = 0
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 16), rng, edge_p=rng.uniform(0.0, 0.5))
+        adj = [list(bits(row)) for row in g.adjacency_masks]
+        for nbrs in adj:  # the search lists neighbours in no particular order
+            rng.shuffle(nbrs)
+        sizes = [rng.randint(1, 3) for _ in range(g.node_count)]
+        disconnected += len(g.traversal.starts) > 1
+        assert iso._processing_order(adj, sizes) == reference_processing_order(adj, sizes), g
+    assert disconnected >= 100
 
 
 def test_star_search_keeps_no_partition_per_depth():

@@ -28,6 +28,7 @@ from graphprod.catalog import (
     C4,
     C5,
     C5_LOOP,
+    K1_3,
     K2,
     L1,
     NAMED,
@@ -301,6 +302,18 @@ def test_drivers_answer_a_bool_whatever_the_oracle_returns():
     for answer, verdict in ((np.True_, True), (0, False)):
         assert class_g_isomorphism(C5_LOOP, C5_LOOP, lambda g: answer) is verdict
         assert graph_isomorphism_via_compositeness(p4, p4, lambda g: answer) is verdict
+
+
+@pytest.mark.parametrize("oracle", [None, True, "search"])
+def test_drivers_refuse_an_oracle_that_is_not_callable(oracle):
+    # the first pair of each driver reaches the oracle, the second stops at the count filter
+    for g1, g2 in ((path_graph(4), K1_3), (path_graph(4), C3)):
+        with pytest.raises(PreconditionError, match="^oracle must be callable$"):
+            graph_isomorphism_via_compositeness(g1, g2, oracle)
+    chord = add_loops(Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)})), [0])
+    for g2 in (C5_LOOP, chord):
+        with pytest.raises(PreconditionError, match="^oracle must be callable$"):
+            class_g_isomorphism(C5_LOOP, g2, oracle)
 
 
 def test_general_driver_exhaustive_tiny():

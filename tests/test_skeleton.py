@@ -228,6 +228,24 @@ def test_the_certificate_agrees_with_the_union_find_reference():
     assert eligible >= 1000 and certified >= 500 and eligible - certified >= 100
 
 
+def test_the_skeleton_of_the_twin_quotient_is_connected():
+    # the certificate runs no connectivity pass: S(G) is connected for
+    # connected nonbipartite G (Hammack & Imrich 2009), and so for G/R
+    eligible = 0
+    for g in _differential_corpus(random.Random(18)):
+        if _eligible(g):
+            eligible += 1
+            n = g.node_count
+            nbhd = [frozenset(w for w in range(n) if g.has_edge(v, w)) for v in range(n)]
+            reps = [v for v in range(n) if nbhd.index(nbhd[v]) == v]  # one node per R-class
+            k = len(reps)
+            edges = ((i, j) for i in range(k) for j in range(i, k) if reps[j] in nbhd[reps[i]])
+            quotient = Graph(k, frozenset(edges))
+            assert is_connected(quotient) and not is_bipartite(quotient), g
+            assert is_connected(_skeleton(quotient)), g
+    assert eligible >= 1000
+
+
 def _refuse_to_search(*_args, **_kwargs):
     raise AssertionError("the exhaustive search ran")
 
