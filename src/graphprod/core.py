@@ -320,7 +320,7 @@ def graph_from_adjacency(mat: np.ndarray) -> Graph:
 #
 # line 1:               "n m"
 # following m lines:    "u v"   (0-based, "u u" for a self-loop)
-# "#" begins a comment line; blank lines are not allowed inside the body.
+# Blank lines and lines beginning with "#" (comments) are skipped anywhere.
 # Writers emit edges sorted by (min, max).
 
 

@@ -127,20 +127,21 @@ class FactorizationWitness:
 def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
     """Whether g, relabelled by the witness, is direct(factor_a, factor_b).
 
-    False unless both factors are graphs and the labeling's integer pairs
-    cover range(a) x range(b) once each.  Each vertex v at (r, c) is then
-    checked on bitmask rows: the labels r' * b + c' of v's neighbours must be
-    exactly row r * b + c of A (x) B, which is B's row c shifted to block r'
-    for every r' with A[r][r'] = 1, read from the factors' own adjacency.
+    False unless ``w`` has both factors as graphs and a labeling whose
+    integer pairs cover range(a) x range(b) once each.  Each vertex v at
+    (r, c) is then checked on bitmask rows: the labels r' * b + c' of v's
+    neighbours must be exactly row r * b + c of A (x) B, which is B's row c
+    shifted to block r' for every r' with A[r][r'] = 1, read from the
+    factors' own adjacency.
     """
-    fa, fb = w.factor_a, w.factor_b
+    fa, fb, labeling = (getattr(w, name, None) for name in ("factor_a", "factor_b", "labeling"))
     if not (isinstance(fa, Graph) and isinstance(fb, Graph)):
         return False
     a, b = fa.node_count, fb.node_count
     if a < 2 or b < 2 or a * b != g.node_count:
         return False
     try:
-        pairs = [(index(r), index(c)) for r, c in w.labeling]
+        pairs = [(index(r), index(c)) for r, c in labeling]
     except (TypeError, ValueError):  # not a sequence of integer pairs
         return False
     if sorted(pairs) != list(product(range(a), range(b))):
@@ -352,12 +353,15 @@ class _FactorSearch:
         before = accumulate((1 << v for v in order), or_, initial=0)  # placed-prefix masks
         self.back = [tuple(bits(masks[v] & placed)) for v, placed in zip(order, before)]
         self.rowsums = [mask.bit_count() for mask in masks]
-        # row sums multiply across a Kronecker product, so vertex v fits in
-        # row r only if rowsum_A(r) divides its adjacency row sum
+        # rows fixed by v and A alone: rowsum_A(r) must divide v's row sum (row
+        # sums multiply across a Kronecker product), a looped v needs a looped
+        # row, and the first vertex tries the smallest row of each orbit of Aut(A)
         self.allowed_rows = [
             [r for r, ar in enumerate(left.rowsums)
-             if (d % ar == 0 and d // ar <= b if ar else d == 0)]
-            for d in self.rowsums
+             if (d % ar == 0 and d // ar <= b if ar else d == 0)
+             and (left.cells[r][r] or not masks[v] >> v & 1)
+             and (v != order[0] or r in left.first_rows)]
+            for v, d in enumerate(self.rowsums)
         ]
         n = g.node_count
         self.ones = [0] * b
@@ -396,9 +400,6 @@ class _FactorSearch:
         """
         left = self.left
         v = self.order[idx]
-        row_range = self.allowed_rows[v]
-        if idx == 0:
-            row_range = [r for r in row_range if r in left.first_rows]
         occupied, ones, zeros = self.occupied, self.ones, self.zeros
         rows, cols = self.rows, self.cols
         # near[s]: the columns whose row-s occupant is a neighbour of v
@@ -411,9 +412,7 @@ class _FactorSearch:
         d = self.rowsums[v]
         loop = self.g.adjacency_masks[v] >> v & 1
         b_rowsums = self.b_rowsums
-        for r in row_range:
-            if loop and not left.cells[r][r]:
-                continue
+        for r in self.allowed_rows[v]:
             for s in left.unlinked[r]:
                 if near[s]:  # a placed neighbour in a row A does not link to r
                     break

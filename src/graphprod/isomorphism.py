@@ -27,16 +27,17 @@ initial cell first, among the neighbours of placed nodes while any is
 unplaced.  Placing v at w individualises them: both move to one fresh cell,
 which is the only splitter queued, and refinement runs again.  If it
 diverges the branch is pruned; otherwise the next node's candidates are the
-g2 members of its refined cell, tried in ascending order from a per-depth
-cursor.  A node whose cell is already a singleton (every node, once the
-partition is discrete) is placed without refining.  When every node is
-placed the partition is discrete and equitable, so the cells pair the nodes
-by an isomorphism; :func:`is_isomorphism` re-verifies it anyway.
+g2 members of its refined cell, tried in ascending order.  A node whose cell
+is already a singleton (every node, once the partition is discrete) is
+placed without refining.  When every node is placed the partition is
+discrete and equitable, so the cells pair the nodes by an isomorphism;
+:func:`is_isomorphism` re-verifies it anyway.
 
 Every cell split off is pushed on a trail, as the number of the cell it
 came from, and backtracking pops the trail down to the depth's mark, merging
-each back; no depth copies the partition, and the cursors form an explicit
-stack, so the depth is not bounded by Python's recursion limit.
+each back; no depth copies the partition.  A depth the search backs into
+resumes after the image its node held, read from the mapping itself, so the
+search is one loop over depths, not bounded by Python's recursion limit.
 
 The witness does not depend on the prune.  Refinement decides every split
 from counts and cell numbers alone, so an isomorphism that puts each node v
@@ -87,14 +88,17 @@ class _Partition:
 
     Node v of g1 is union node v and node w of g2 is union node ``n + w``.
     ``members[c]`` is the bitmask of cell c, ``cell[x]`` the cell of union
-    node x and ``adj`` the union's adjacency lists.  Every cell holds as
-    many nodes of g1 as of g2; a piece that does not is a divergence.  A
-    split appends new cells at the end; ``trail`` holds the cell each of
-    them came from, in order, so :meth:`undo` can merge the last ones back.
+    node x and ``adj`` the union's adjacency lists.  It starts as cell 0,
+    holding every node.  Every cell holds as many nodes of g1 as of g2; a
+    piece that does not is a divergence.  A split appends new cells at the
+    end; ``trail`` holds the cell each of them came from, in order, so
+    :meth:`undo` can merge the last ones back.
     """
 
-    def __init__(self, n: int, adj: Sequence[Sequence[int]], cell: list[int], members: list[int]):
-        self.n, self.adj, self.cell, self.members = n, adj, cell, members
+    def __init__(self, n: int, adj: Sequence[Sequence[int]]):
+        self.n, self.adj = n, adj
+        self.cell = [0] * len(adj)
+        self.members = [(1 << len(adj)) - 1]
         self.trail: list[int] = []
 
     def refine(self, queue: deque[int]) -> bool:
@@ -193,19 +197,16 @@ def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
             if u != v:
                 adj[v + shift].append(u + shift)
     # the seed parts looped from loop-free nodes, so a loop adds 1 to every count of its cell
-    keys = [(len(nbrs), x in nbrs) for x, nbrs in enumerate(adj)]
-    palette = {key: c for c, key in enumerate(sorted(set(keys)))}
-    cell = [palette[key] for key in keys]
-    members = [0] * len(palette)
-    for x, c in enumerate(cell):
-        members[c] |= 1 << x
-    if any(2 * (m >> n).bit_count() != m.bit_count() for m in members):
+    groups: dict[tuple[int, bool], int] = {}
+    for x, nbrs in enumerate(adj):
+        key = (len(nbrs), x in nbrs)
+        groups[key] = groups.get(key, 0) | 1 << x
+    pieces = [groups[key] for key in sorted(groups)]
+    if any(2 * (m >> n).bit_count() != m.bit_count() for m in pieces):
         return None
-    part = _Partition(n, adj, cell, members)
-    # the degree seed is the split by the whole node set: skip its largest cell
-    sizes = [m.bit_count() for m in members]
-    largest = sizes.index(max(sizes))
-    queue = deque(c for c in range(len(sizes)) if c != largest)
+    part = _Partition(n, adj)
+    queue: deque[int] = deque()
+    part._split(0, pieces, queue)  # the degree seed is the split by the whole node set
     return part if part.refine(queue) else None
 
 
@@ -257,17 +258,16 @@ def are_isomorphic(
     cell, members = part.cell, part.members
     order = _processing_order(part.adj[:n], [members[cell[v]].bit_count() // 2 for v in range(n)])
 
-    mapping = [-1] * n
-    start = [0] * n  # candidates below this node are already tried at each depth
+    mapping = [-1] * n  # -1 while unplaced, and on entering a depth afresh
     mark = [0] * n  # trail length when each depth was entered
     idx = 0
     while 0 <= idx < n:
         v = order[idx]
         if mapping[v] >= 0:  # back at v: take its placement back
             part.undo(mark[idx])
-            mapping[v] = -1
         mark[idx] = len(part.trail)
-        rest = members[cell[v]] >> n & (-1 << start[idx])
+        # candidates up to v's last image are tried; read from the restored partition
+        rest = members[cell[v]] >> n & (-1 << mapping[v] + 1)
         while rest:
             bit = rest & -rest
             w = bit.bit_length() - 1
@@ -276,10 +276,9 @@ def are_isomorphic(
             part.undo(mark[idx])
             rest ^= bit
         else:  # no candidate left for v: backtrack
-            start[idx] = 0
+            mapping[v] = -1
             idx -= 1
             continue
-        start[idx] = w + 1
         mapping[v] = w
         idx += 1
     if idx < 0:

@@ -227,10 +227,12 @@ K2_X_C3_CELLS = tuple((r, c) for r in range(2) for c in range(3))
         (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(None, C3, K2_X_C3_CELLS)), None),
         (lambda: witness_is_valid(K2_X_C3, FactorizationWitness(K2, (0, 1, 2), K2_X_C3_CELLS)),
          None),
+        (lambda: witness_is_valid(K2_X_C3, None), None),
+        (lambda: witness_is_valid(K2_X_C3, (K2, C3, K2_X_C3_CELLS)), None),
     ],
     ids=["float-orders", "str-order", "str-limit", "float-limit", "iso-str-limit",
          "float-bertrand", "float-offset", "str-offset", "none-labeling", "none-factor-a",
-         "tuple-factor-b"],
+         "tuple-factor-b", "none-witness", "bare-tuple-witness"],
 )
 def test_non_integer_orders_bounds_and_labelings_are_refused(call, refusal):
     if refusal is None:  # a predicate answers False instead of raising

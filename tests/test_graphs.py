@@ -326,7 +326,7 @@ def test_format_is_canonical():
 
 
 def test_parse_accepts_comments_and_blank_lines():
-    text = "# a triangle\n\n3 3\n0 1\n# middle comment\n1 2\n0 2\n"
+    text = "# a triangle\n\n3 3\n0 1\n# middle comment\n1 2\n\n0 2\n\n"
     assert parse_edge_list(text) == C3
 
 

@@ -224,6 +224,38 @@ def test_agreement_with_networkx_vf2_beyond_naive_reach(monkeypatch):
     assert answers == {(False, True), (False, False), (True, True), (True, False)}
 
 
+# (place, undo) calls over _golden_pairs, and over the rook 4x4 / Shrikhande
+# NO pair with a relabelled YES pair of each
+GOLDEN_TREE = ((2812, 366), (144, 112))
+
+
+def test_golden_searches_walk_the_same_tree(monkeypatch):
+    # the numbers of placements and undos pin the search tree, not only its first leaf
+    counts = {"place": 0, "undo": 0}
+    place, undo = iso._Partition.place, iso._Partition.undo
+
+    def counted_place(self, v, w):
+        counts["place"] += 1
+        return place(self, v, w)
+
+    def counted_undo(self, mark):
+        counts["undo"] += 1
+        undo(self, mark)
+
+    monkeypatch.setattr(iso._Partition, "place", counted_place)
+    monkeypatch.setattr(iso._Partition, "undo", counted_undo)
+    rng = random.Random(16)
+    srg_pairs = [(ROOK_4X4, SHRIKHANDE)]
+    srg_pairs += [(g, random_relabeling(g, rng)) for g in (ROOK_4X4, SHRIKHANDE)]
+    trees = []
+    for pairs in (_golden_pairs(), srg_pairs):
+        counts.update(place=0, undo=0)
+        for g1, g2 in pairs:
+            are_isomorphic(g1, g2, node_limit=None)
+        trees.append((counts["place"], counts["undo"]))
+    assert tuple(trees) == GOLDEN_TREE
+
+
 def test_deep_search_does_not_recurse():
     # 1201 nodes: one search level per node, past Python's recursion limit
     star = star_graph(1200)
