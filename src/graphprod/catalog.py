@@ -16,25 +16,27 @@ from .core import Graph, PreconditionError, as_int, disjoint_union, read_edge_li
 
 def path_graph(n: int) -> Graph:
     n = as_int(n, "n must be an integer")
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     n = as_int(n, "n must be an integer")
     if n < 3:
         raise PreconditionError("a cycle needs at least 3 nodes")
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center at node 0."""
     leaves = as_int(leaves, "leaves must be an integer")
-    return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
+    if leaves < 0:
+        raise PreconditionError("leaves must be nonnegative")
+    return Graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
 def complete_graph(n: int) -> Graph:
     n = as_int(n, "n must be an integer")
-    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def add_loops(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -69,7 +71,7 @@ NAMED: dict[str, Graph] = {
     "d2": D2,
     "p3": P3,
     "p4": P4,
-    "p4b": Graph(4, frozenset({(0, 2), (1, 2), (1, 3)})),  # P4 relabelled
+    "p4b": Graph(4, [(0, 2), (1, 2), (1, 3)]),  # P4 relabelled
     "k1_3": K1_3,
     "k1_4": K1_4,
     "c3": C3,

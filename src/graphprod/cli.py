@@ -39,7 +39,7 @@ EXIT_INTERNAL = 5
 
 _ORACLES = {
     "factor-search": factorization.search_oracle,
-    "classg-elimination": factorization.elimination_oracle,
+    "classg-elimination": reduction.elimination_oracle,
 }
 
 
@@ -189,8 +189,8 @@ def _cmd_iso(args, started: float) -> int:
         human.append("count filter: node or edge counts differ; no oracle call")
         outcome["count_filter"] = "reject"
     else:
-        pr1, pr2 = pads
-        verdict = _ORACLES[args.oracle](disjoint_union(pr1.padded, pr2.padded))
+        pr1, pr2, union = pads
+        verdict = _ORACLES[args.oracle](union)
         human.append(
             f"padding: p={pr1.chosen_prime}, loops=({pr1.loops_added}, {pr2.loops_added})"
         )

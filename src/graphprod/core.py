@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -101,12 +102,13 @@ class EdgeListParseError(GraphProdError):
 class Graph:
     """Immutable undirected graph on nodes ``0..node_count-1``.
 
-    ``node_count`` and the endpoints of ``edges`` may be any integers, numpy's
-    too, and are stored as Python ints; anything else is a precondition
-    error.  Edges are normalized to ``(min, max)`` tuples on construction,
-    which also counts ``loop_count``, s, the number of self-loops.  Two
-    views are computed on first use and cached on the instance:
-    ``adjacency_masks`` and the ``traversal`` built from it.
+    ``edges`` may be any iterable of integer pairs, read once and stored as
+    one frozenset.  ``node_count`` and the endpoints may be any integers,
+    numpy's too, and are stored as Python ints; anything else is a
+    precondition error.  Edges are normalized to ``(min, max)`` tuples on
+    construction, which also counts ``loop_count``, s, the number of
+    self-loops.  Two views are computed on first use and cached on the
+    instance: ``adjacency_masks`` and the ``traversal`` built from it.
     """
 
     node_count: int
@@ -182,15 +184,14 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
         mapping = None
     if mapping is None or sorted(mapping) != list(range(n)):
         raise PreconditionError("mapping must be a permutation of 0..n-1")
-    return Graph(n, frozenset((mapping[u], mapping[v]) for u, v in g.edges))
+    return Graph(n, ((mapping[u], mapping[v]) for u, v in g.edges))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; nodes of ``g2`` are shifted up by ``g1.node_count``."""
     n1 = g1.node_count
-    edges = set(g1.edges)
-    edges.update((u + n1, v + n1) for u, v in g2.edges)
-    return Graph(n1 + g2.node_count, frozenset(edges))
+    shifted = ((u + n1, v + n1) for u, v in g2.edges)
+    return Graph(n1 + g2.node_count, chain(g1.edges, shifted))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -265,8 +266,8 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     for v in position:
         if not 0 <= v < g.node_count:
             raise PreconditionError(f"node {v} out of range for {g.node_count} nodes")
-    edges = {(position[u], position[v]) for u, v in g.edges if u in position and v in position}
-    return Graph(len(nodes), frozenset(edges))
+    edges = ((position[u], position[v]) for u, v in g.edges if u in position and v in position)
+    return Graph(len(nodes), edges)
 
 
 def bipartition(g: Graph) -> list[int] | None:
@@ -312,8 +313,7 @@ def graph_from_adjacency(mat: np.ndarray) -> Graph:
     if not np.isin(mat, (0, 1)).all():
         raise PreconditionError("adjacency entries must be 0 or 1")
     n = mat.shape[0]
-    edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(mat)) if u <= v}
-    return Graph(n, frozenset(edges))
+    return Graph(n, ((u, v) for u, v in zip(*np.nonzero(mat)) if u <= v))
 
 
 # --- edge-list text format -------------------------------------------------
@@ -378,7 +378,7 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(
             f"header announced {expected} edges, found {len(edges)}", 1
         )
-    return Graph(header[0], frozenset(edges))
+    return Graph(header[0], edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -96,14 +96,11 @@ from .core import (
     bits,
     breadth_first,
     check_node_limit,
-    connected_components,
     disjoint_union,
-    induced_subgraph,
     is_bipartite,
     is_connected,
 )
-from .isomorphism import IsomorphismWitness, are_isomorphic, is_isomorphism
-from .reduction import require_class_g
+from .isomorphism import IsomorphismWitness, is_isomorphism
 from .skeleton import certifies_prime
 
 DEFAULT_NODE_LIMIT = 20
@@ -454,8 +451,8 @@ class _FactorSearch:
         a_edges = {(i, j) for i in range(self.a) for j in range(i, self.a) if cells[i][j]}
         b_edges = {(k, l) for k in range(self.b) for l in bits(self.ones[k]) if k <= l}
         witness = FactorizationWitness(
-            Graph(self.a, frozenset(a_edges)),
-            Graph(self.b, frozenset(b_edges)),
+            Graph(self.a, a_edges),
+            Graph(self.b, b_edges),
             tuple(zip(self.rows, self.cols)),
         )
         if not witness_is_valid(self.g, witness):
@@ -618,62 +615,7 @@ def isomorphism_from_union_factorization(
     return out
 
 
-# -- the two-block elimination decider ---------------------------------------
-
-_ANTIDIAG = ((0, 1), (1, 0))
-
-
-def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """2x2 left-factor candidates for g1 u g2 that survive the counting filters.
-
-    Filters, in order: the union is undirected so A must be symmetric; both
-    components have minimum degree >= 1 so A needs at least two nonzero
-    entries; with k nonzeros in A the product has k * nnz(B) nonzero entries,
-    which must equal nnz(g1) + nnz(g2), ruling out k = 3 and k = 4 whenever
-    that total is not divisible by 3 resp. 4; the antidiagonal A would make
-    the product bipartite while the union is not.
-    """
-    total = g1.nonzero_count + g2.nonzero_count
-    survivors = []
-    for mat in sorted(_matrix(2, key) for key in product((0, 1), repeat=3)):
-        nonzeros = mat[0][0] + mat[0][1] + mat[1][0] + mat[1][1]
-        if nonzeros < 2:
-            continue
-        if nonzeros == 3 and total % 3 != 0:
-            continue
-        if nonzeros == 4 and total % 4 != 0:
-            continue
-        if mat == _ANTIDIAG:
-            continue
-        survivors.append(mat)
-    return survivors
-
-
-def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
-    """Decide compositeness of g1 u g2 for equal-count class G members.
-
-    Any factorization of the union must split its 2n nodes as 2 x n because n
-    is prime, so only a 2x2 left factor is possible.  The counting filters of
-    :func:`two_block_survivors` leave the identity matrix alone, reducing
-    compositeness of the union to existence of an isomorphism g1 -> g2.
-    """
-    require_class_g(g1, "first graph")
-    require_class_g(g2, "second graph")
-    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
-        raise PreconditionError("elimination requires equal node and edge counts")
-    survivors = two_block_survivors(g1, g2)
-    if I2_MATRIX not in survivors:
-        raise InternalError("the counting filters eliminated the identity left factor")
-    # More than one survivor is reachable only when the loop counts differ.
-    # Every survivor other than I2 carries a loop and a cross edge, hence is
-    # connected and nonbipartite, so all components of A (x) B would have
-    # even order; this union's components have odd prime order.
-    if len(survivors) > 1 and g1.node_count % 2 == 0:
-        raise InternalError("a non-identity left factor survived on even-order components")
-    return are_isomorphic(g1, g2, node_limit=None) is not None
-
-
-# -- ready-made compositeness oracles ----------------------------------------
+# -- a ready-made compositeness oracle ---------------------------------------
 
 
 def search_oracle(g: Graph) -> bool:
@@ -681,24 +623,3 @@ def search_oracle(g: Graph) -> bool:
     if g.node_count <= 1:
         return False
     return find_factorization(g, node_limit=None) is not None
-
-
-def elimination_oracle(g: Graph) -> bool:
-    """Compositeness of a two-component union via the elimination argument."""
-    comps = connected_components(g)
-    if len(comps) != 2:
-        raise PreconditionError("elimination oracle needs exactly two components")
-    c1 = induced_subgraph(g, comps[0])
-    c2 = induced_subgraph(g, comps[1])
-    if c1.node_count != c2.node_count:
-        raise PreconditionError("elimination oracle needs equal-order components")
-    if c1.edge_count != c2.edge_count:
-        # Padding same-order same-size inputs with different loop counts lands
-        # here: both components are in class G but their edge counts differ.
-        # The union splits only as 2 x p (p prime), I2 would force isomorphic
-        # components (equal edge counts), and every other admissible left
-        # factor forces even-order components; so the union is prime.
-        require_class_g(c1, "first component")
-        require_class_g(c2, "second component")
-        return False
-    return union_compositeness_by_elimination(c1, c2)

@@ -188,7 +188,13 @@ def _fragments(
 
 
 def _equitable_partition(g1: Graph, g2: Graph) -> _Partition | None:
-    """The equitable partition of g1 ⊔ g2 seeded by (degree, loop); None on divergence."""
+    """The equitable partition of g1 ⊔ g2 seeded by (degree, loop); None on divergence.
+
+    The seed is the one count test.  If every (degree, loop) cell is balanced,
+    g1 and g2 have equal orders n, equal loop counts s and, as each graph's
+    degrees sum to 2m - s, equal edge counts m.  So graphs that differ in any
+    of these return None before any :class:`_Partition` is built.
+    """
     n = g1.node_count
     adj: list[list[int]] = [[] for _ in range(n + g2.node_count)]
     for shift, g in ((0, g1), (n, g2)):
@@ -241,17 +247,14 @@ def are_isomorphic(
 
     Empty inputs raise :class:`PreconditionError`.  Graphs larger than
     ``node_limit`` raise :class:`SizeLimitError`; pass ``node_limit=None``
-    to lift the bound.
+    to lift the bound.  Graphs whose orders, edge counts or loop counts
+    differ are told apart by the (degree, loop) seed of
+    :func:`_equitable_partition`, before any placement.
     """
     if g1.node_count == 0 or g2.node_count == 0:
         raise PreconditionError("isomorphism is undefined for the empty graph")
     check_node_limit(max(g1.node_count, g2.node_count), node_limit, "input")
     n = g1.node_count
-    if g2.node_count != n:
-        return None
-    if g1.edge_count != g2.edge_count or g1.loop_count != g2.loop_count:
-        return None
-
     part = _equitable_partition(g1, g2)
     if part is None:
         return None

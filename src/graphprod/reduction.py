@@ -18,14 +18,24 @@ hold), then add up to three self-loops on the early cycle nodes to fix the
 2m - s residues.  The construction is deterministic, so equal inputs give
 byte-equal results.
 
-The drivers at the bottom decide isomorphism with a single call to a
-compositeness oracle, a callable taking the disjoint union and returning
-True iff it is composite under the direct product.
+The drivers decide isomorphism with a single call to a compositeness
+oracle, a callable taking the disjoint union and returning True iff it is
+composite under the direct product.
+
+The lemma behind them, decided by :func:`union_compositeness_by_elimination`
+and wrapped as :func:`elimination_oracle`: let g1 and g2 be class G members
+with equal node and edge counts.  Any factorization of g1 u g2 splits its
+2n nodes as 2 x n, as n is prime, so the left factor is a symmetric 2x2
+matrix.  Counting (:func:`two_block_survivors`) leaves the identity I2 and
+at most matrices with a loop and a cross edge, which would give the product
+only even-order components.  I2 (x) B is g1 u g2 exactly when g1 and g2 are
+both isomorphic to B, so the union is composite iff g1 and g2 are isomorphic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Callable
 
 from .core import (
@@ -34,11 +44,15 @@ from .core import (
     InternalError,
     PreconditionError,
     as_int,
+    connected_components,
     disjoint_union,
     format_edge_list,
+    induced_subgraph,
     is_bipartite,
     is_connected,
 )
+from .factorization import I2_MATRIX
+from .isomorphism import are_isomorphic
 
 CompositenessOracle = Callable[[Graph], bool]
 
@@ -168,7 +182,7 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
     fan = tuple((x, n) for x in range(n))
     cycle = tuple((n + i, n + i + 1) for i in range(p - n - 1)) + ((n, p - 1),)
     loops = tuple((n + i, n + i) for i in range(1, d + 1))
-    padded = Graph(p, frozenset(g.edges) | set(fan) | set(cycle) | set(loops))
+    padded = Graph(p, chain(g.edges, fan, cycle, loops))
     result = PaddingResult(padded, p, fan, cycle, d)
     report = class_g_check(padded)
     if not report.member:
@@ -205,11 +219,12 @@ def class_g_isomorphism(g1: Graph, g2: Graph, oracle: CompositenessOracle) -> bo
     return bool(oracle(disjoint_union(g1, g2)))
 
 
-def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult] | None:
-    """Both graphs padded into class G, or None if the count filter answers NO.
+def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult, Graph] | None:
+    """Both graphs padded into class G and their union, or None if the count filter answers NO.
 
     Both inputs must be connected with at least 2 nodes.  Graphs whose node
-    or edge counts differ are not isomorphic and are not padded.
+    or edge counts differ are not isomorphic and are not padded.  The union
+    is the disjoint union of the padded graphs, the graph the oracle is asked about.
     """
     for g, which in ((g1, "first"), (g2, "second")):
         if g.node_count < 2:
@@ -218,7 +233,8 @@ def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult] | None
             raise PreconditionError(f"{which} graph must be connected")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return None
-    return pad_to_class_g(g1), pad_to_class_g(g2)
+    pr1, pr2 = pad_to_class_g(g1), pad_to_class_g(g2)
+    return pr1, pr2, disjoint_union(pr1.padded, pr2.padded)
 
 
 def graph_isomorphism_via_compositeness(
@@ -232,4 +248,80 @@ def graph_isomorphism_via_compositeness(
     if not callable(oracle):
         raise PreconditionError("oracle must be callable")
     pads = pad_pair(g1, g2)
-    return pads is not None and bool(oracle(disjoint_union(pads[0].padded, pads[1].padded)))
+    return pads is not None and bool(oracle(pads[2]))
+
+
+# -- the two-block elimination decider ---------------------------------------
+
+_ANTIDIAG = ((0, 1), (1, 0))
+
+
+def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """2x2 left-factor candidates for g1 u g2 that survive the counting filters.
+
+    Filters, in order: the union is undirected so A must be symmetric; both
+    components have minimum degree >= 1 so A needs at least two nonzero
+    entries; with k nonzeros in A the product has k * nnz(B) nonzero entries,
+    which must equal nnz(g1) + nnz(g2), ruling out k = 3 and k = 4 whenever
+    that total is not divisible by 3 resp. 4; the antidiagonal A would make
+    the product bipartite while the union is not.
+    """
+    total = g1.nonzero_count + g2.nonzero_count
+    survivors = []
+    for mat in (((x, y), (y, z)) for x, y, z in product((0, 1), repeat=3)):
+        nonzeros = mat[0][0] + mat[0][1] + mat[1][0] + mat[1][1]
+        if nonzeros < 2:
+            continue
+        if nonzeros == 3 and total % 3 != 0:
+            continue
+        if nonzeros == 4 and total % 4 != 0:
+            continue
+        if mat == _ANTIDIAG:
+            continue
+        survivors.append(mat)
+    return survivors
+
+
+def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
+    """Decide compositeness of g1 u g2 for equal-count class G members.
+
+    Any factorization of the union must split its 2n nodes as 2 x n because n
+    is prime, so only a 2x2 left factor is possible.  The counting filters of
+    :func:`two_block_survivors` leave the identity matrix alone, reducing
+    compositeness of the union to existence of an isomorphism g1 -> g2.
+    """
+    require_class_g(g1, "first graph")
+    require_class_g(g2, "second graph")
+    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
+        raise PreconditionError("elimination requires equal node and edge counts")
+    survivors = two_block_survivors(g1, g2)
+    if I2_MATRIX not in survivors:
+        raise InternalError("the counting filters eliminated the identity left factor")
+    # More than one survivor is reachable only when the loop counts differ.
+    # Every survivor other than I2 carries a loop and a cross edge, hence is
+    # connected and nonbipartite, so all components of A (x) B would have
+    # even order; this union's components have odd prime order.
+    if len(survivors) > 1 and g1.node_count % 2 == 0:
+        raise InternalError("a non-identity left factor survived on even-order components")
+    return are_isomorphic(g1, g2, node_limit=None) is not None
+
+
+def elimination_oracle(g: Graph) -> bool:
+    """Compositeness of a two-component union via the elimination argument."""
+    comps = connected_components(g)
+    if len(comps) != 2:
+        raise PreconditionError("elimination oracle needs exactly two components")
+    c1 = induced_subgraph(g, comps[0])
+    c2 = induced_subgraph(g, comps[1])
+    if c1.node_count != c2.node_count:
+        raise PreconditionError("elimination oracle needs equal-order components")
+    if c1.edge_count != c2.edge_count:
+        # Padding same-order same-size inputs with different loop counts lands
+        # here: both components are in class G but their edge counts differ.
+        # The union splits only as 2 x p (p prime), I2 would force isomorphic
+        # components (equal edge counts), and every other admissible left
+        # factor forces even-order components; so the union is prime.
+        require_class_g(c1, "first component")
+        require_class_g(c2, "second component")
+        return False
+    return union_compositeness_by_elimination(c1, c2)

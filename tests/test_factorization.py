@@ -1033,8 +1033,8 @@ _CHECKS_UNDER_O = textwrap.dedent(
 
 
     def elimination_without_identity():
-        fz.two_block_survivors = lambda g1, g2: []
-        fz.union_compositeness_by_elimination(member, member)
+        red.two_block_survivors = lambda g1, g2: []
+        red.union_compositeness_by_elimination(member, member)
 
 
     def padding_outside_class_g():

@@ -105,6 +105,12 @@ def test_catalog_builders_refuse_a_size_that_is_not_an_integer(make, n, message)
     assert make(np.int64(4)) == make(4)
 
 
+@pytest.mark.parametrize("leaves", [-1, -2])
+def test_star_graph_refuses_a_negative_leaf_count(leaves):
+    with pytest.raises(PreconditionError, match="^leaves must be nonnegative$"):
+        star_graph(leaves)
+
+
 def test_numpy_integers_are_stored_as_python_ints():
     g = Graph(np.int64(3), {(np.int64(1), np.int64(0)), (1, 2)})
     assert type(g.node_count) is int

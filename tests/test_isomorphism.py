@@ -9,7 +9,18 @@ import pytest
 
 from graphprod import Graph, SizeLimitError, are_isomorphic, is_isomorphism, relabel
 from graphprod import isomorphism as iso
-from graphprod.catalog import C3, C5, K1_4, NAMED, P3_END_LOOP, P3_MID_LOOP, star_graph
+from graphprod.catalog import (
+    C3,
+    C5,
+    K1_4,
+    NAMED,
+    P3_END_LOOP,
+    P3_MID_LOOP,
+    add_loops,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from graphprod.core import bits
 from graphprod.isomorphism import _equitable_partition
 
@@ -391,6 +402,33 @@ def test_union_partition_stays_balanced_and_undo_restores_it():
 def test_mismatched_counts_fail_fast():
     assert are_isomorphic(Graph(3), Graph(4)) is None
     assert are_isomorphic(Graph(3, frozenset({(0, 1)})), Graph(3)) is None
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        (Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (1, 2)])),  # order only
+        (path_graph(4), cycle_graph(4)),  # edge count only
+        (add_loops(path_graph(3), [0]), C3),  # loop count only: 3 nodes, 3 edges each
+    ],
+    ids=["order", "edges", "loops"],
+)
+def test_the_degree_seed_tells_unequal_counts_apart_before_any_partition(monkeypatch, g1, g2):
+    built = []
+    init = iso._Partition.__init__
+
+    def counted_init(self, n, adj):
+        built.append(n)
+        init(self, n, adj)
+
+    def place(self, v, w):
+        raise AssertionError("no placement expected")
+
+    monkeypatch.setattr(iso._Partition, "__init__", counted_init)
+    monkeypatch.setattr(iso._Partition, "place", place)
+    assert are_isomorphic(g1, g2) is None
+    assert are_isomorphic(g2, g1) is None
+    assert built == []
 
 
 def test_node_limit():

@@ -373,3 +373,24 @@ def test_each_graph_is_traversed_once(monkeypatch):
     pad1, pad2 = pad_to_class_g(g1).padded, pad_to_class_g(g2).padded
     union = disjoint_union(pad1, pad2)
     assert traversed == [g.adjacency_masks for g in (g1, g2, pad1, pad2, union)]
+
+
+def test_the_elimination_lemma_lives_in_reduction():
+    # factorization is the compositeness layer below reduction: it imports nothing from it
+    import ast
+    from pathlib import Path
+
+    import graphprod
+    from graphprod import factorization, reduction
+
+    tree = ast.parse(Path(factorization.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module is None or node.module.rpartition(".")[2] != "reduction"
+            assert all(alias.name != "reduction" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.rpartition(".")[2] != "reduction" for alias in node.names)
+    for name in ("two_block_survivors", "union_compositeness_by_elimination", "elimination_oracle"):
+        fn = getattr(reduction, name)
+        assert fn.__module__ == "graphprod.reduction"
+        assert getattr(graphprod, name) is fn
