@@ -16,6 +16,8 @@ from .core import Graph, PreconditionError, as_int, disjoint_union, read_edge_li
 
 def path_graph(n: int) -> Graph:
     n = as_int(n, "n must be an integer")
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
@@ -36,6 +38,8 @@ def star_graph(leaves: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     n = as_int(n, "n must be an integer")
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
     return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 

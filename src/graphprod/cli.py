@@ -1,11 +1,16 @@
 """Command-line front end: graph I/O, products, factoring, and reductions.
 
-Exit codes are fixed for scriptability: 0 success, 2 parse or usage error,
-3 size bound exceeded, 4 precondition violated, 5 internal error (a
-result failed its own re-verification).  ``--json`` switches every
-subcommand to a single machine-readable run report on stdout.  The
-``GRAPHPROD_MAX_NODES`` environment variable overrides the built-in size
-bounds.
+Exit codes are fixed for scriptability: 0 success, 1 a ``demo`` check
+failed, 2 parse, usage or I/O error (a missing, unreadable or unwritable
+file, or a closed output pipe), 3 size bound exceeded, 4 precondition
+violated, 5 internal error (a result failed its own re-verification).
+``demo`` is the only command that exits nonzero without an error.
+``--json`` switches every subcommand to a single machine-readable run
+report on stdout.  The ``GRAPHPROD_MAX_NODES`` environment variable
+overrides the built-in size bounds.
+
+Handlers return their outcome and human lines; ``main`` alone times the
+command, prints the report and maps every error to its exit code.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ from .core import (
     InternalError,
     PreconditionError,
     SizeLimitError,
+    connected_components,
     disjoint_union,
     format_edge_list,
+    induced_subgraph,
     read_edge_list,
     write_edge_list,
 )
@@ -36,6 +43,15 @@ EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
+
+# read in order: the first type the error is an instance of gives its code
+_EXIT_CODES = {
+    EdgeListParseError: EXIT_PARSE,
+    SizeLimitError: EXIT_SIZE,
+    PreconditionError: EXIT_PRECONDITION,
+    InternalError: EXIT_INTERNAL,
+    OSError: EXIT_PARSE,
+}
 
 _ORACLES = {
     "factor-search": factorization.search_oracle,
@@ -66,12 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="compute a graph product of two edge-list files")
     p.add_argument("--kind", required=True, choices=[k.value for k in ProductKind])
     p.add_argument("--out", help="write the product here instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.add_argument("file1")
     p.add_argument("file2")
 
     f = sub.add_parser("factor", help="direct-product primality / factorization")
-    f.add_argument("--json", action="store_true")
     f.add_argument("file")
 
     i = sub.add_parser("iso", help="decide graph isomorphism")
@@ -82,38 +96,22 @@ def _build_parser() -> argparse.ArgumentParser:
         default="factor-search",
         help="compositeness decider used in reduction mode",
     )
-    i.add_argument("--json", action="store_true")
     i.add_argument("file1")
     i.add_argument("file2")
 
     c = sub.add_parser("classg", help="class G membership report, optional padding")
     c.add_argument("--pad", action="store_true", help="also emit the padded graph")
     c.add_argument("--out", help="write the padded graph here (implies --pad)")
-    c.add_argument("--json", action="store_true")
     c.add_argument("file")
 
     d = sub.add_parser("demo", help="reproduce the counterexample constructions")
     d.add_argument("which", choices=["fig2", "fig3"])
-    d.add_argument("--json", action="store_true")
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
-def _emit(args, inputs: list[str], outcome, human_lines: list[str], started: float) -> None:
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if args.json:
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "outcome": outcome,
-            "elapsed_ms": round(elapsed_ms, 3),
-        }
-        print(json.dumps(report))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _cmd_product(args, started: float) -> int:
+def _cmd_product(args) -> tuple[dict, list[str]]:
     g1 = read_edge_list(args.file1)
     g2 = read_edge_list(args.file2)
     # capped at the header ceiling, so graphprod can read back what it writes
@@ -132,20 +130,17 @@ def _cmd_product(args, started: float) -> int:
         "edge_list": text,
         "out": args.out,
     }
-    _emit(args, [args.file1, args.file2], outcome, human, started)
-    return EXIT_OK
+    return outcome, human
 
 
-def _cmd_factor(args, started: float) -> int:
+def _cmd_factor(args) -> tuple[dict, list[str]]:
     g = read_edge_list(args.file)
     limit = _env_limit() or factorization.DEFAULT_NODE_LIMIT
     if g.node_count == 1:
-        _emit(args, [args.file], {"verdict": "trivial"}, ["trivial"], started)
-        return EXIT_OK
+        return {"verdict": "trivial"}, ["trivial"]
     witness = factorization.find_factorization(g, node_limit=limit)
     if witness is None:
-        _emit(args, [args.file], {"verdict": "prime"}, ["prime"], started)
-        return EXIT_OK
+        return {"verdict": "prime"}, ["prime"]
     wj = factorization.witness_to_json(witness)
     human = [
         "composite",
@@ -153,14 +148,12 @@ def _cmd_factor(args, started: float) -> int:
         f"factor B ({wj['b_order']} nodes): edges {wj['b_edges']}",
         f"labeling: {wj['labeling']}",
     ]
-    _emit(args, [args.file], {"verdict": "composite", "witness": wj}, human, started)
-    return EXIT_OK
+    return {"verdict": "composite", "witness": wj}, human
 
 
-def _cmd_iso(args, started: float) -> int:
+def _cmd_iso(args) -> tuple[dict, list[str]]:
     g1 = read_edge_list(args.file1)
     g2 = read_edge_list(args.file2)
-    inputs = [args.file1, args.file2]
     env = _env_limit()
     biggest = max(g1.node_count, g2.node_count)
     if env is not None and biggest > env:  # both modes, before any padding or search
@@ -173,58 +166,46 @@ def _cmd_iso(args, started: float) -> int:
                 file=sys.stderr,
             )
         witness = are_isomorphic(g1, g2, node_limit=None)
-        verdict = witness is not None
-        outcome = {
-            "verdict": "YES" if verdict else "NO",
-            "mapping": list(witness.mapping) if witness else None,
-        }
-        _emit(args, inputs, outcome, [outcome["verdict"]], started)
-        return EXIT_OK
+        verdict = "YES" if witness else "NO"
+        mapping = list(witness.mapping) if witness else None
+        return {"verdict": verdict, "mapping": mapping}, [verdict]
 
     pads = reduction.pad_pair(g1, g2)
-    human: list[str] = []
-    outcome = {"oracle": args.oracle, "oracle_calls": 0 if pads is None else 1}
     if pads is None:
-        verdict = False
-        human.append("count filter: node or edge counts differ; no oracle call")
-        outcome["count_filter"] = "reject"
-    else:
-        pr1, pr2, union = pads
-        verdict = _ORACLES[args.oracle](union)
-        human.append(
-            f"padding: p={pr1.chosen_prime}, loops=({pr1.loops_added}, {pr2.loops_added})"
+        return (
+            {"oracle": args.oracle, "oracle_calls": 0, "count_filter": "reject", "verdict": "NO"},
+            ["count filter: node or edge counts differ; no oracle call", "NO"],
         )
-        human.append(
-            f"gadgets: {pr1.chosen_prime} nodes each, union {2 * pr1.chosen_prime} nodes"
-        )
-        human.append(f"oracle[{args.oracle}]: {'composite' if verdict else 'prime'}")
-        outcome.update(
-            {
-                "p": pr1.chosen_prime,
-                "d": [pr1.loops_added, pr2.loops_added],
-                "gadget_nodes": [pr1.padded.node_count, pr2.padded.node_count],
-                "oracle_verdict": "composite" if verdict else "prime",
-            }
-        )
-    outcome["verdict"] = "YES" if verdict else "NO"
-    human.append(outcome["verdict"])
-    _emit(args, inputs, outcome, human, started)
-    return EXIT_OK
+    pr1, pr2, union = pads
+    said, verdict = ("composite", "YES") if _ORACLES[args.oracle](union) else ("prime", "NO")
+    outcome = {
+        "oracle": args.oracle,
+        "oracle_calls": 1,
+        "p": pr1.chosen_prime,
+        "d": [pr1.loops_added, pr2.loops_added],
+        "gadget_nodes": [pr1.padded.node_count, pr2.padded.node_count],
+        "oracle_verdict": said,
+        "verdict": verdict,
+    }
+    human = [
+        f"padding: p={pr1.chosen_prime}, loops=({pr1.loops_added}, {pr2.loops_added})",
+        f"gadgets: {pr1.chosen_prime} nodes each, union {2 * pr1.chosen_prime} nodes",
+        f"oracle[{args.oracle}]: {said}",
+        verdict,
+    ]
+    return outcome, human
 
 
-def _flag(value: bool) -> str:
-    return "yes" if value else "no"
-
-
-def _cmd_classg(args, started: float) -> int:
+def _cmd_classg(args) -> tuple[dict, list[str]]:
     g = read_edge_list(args.file)
     report = reduction.class_g_check(g)
     flags = {field: getattr(report, field) for field, _, _ in reduction.CLASS_G_PROPERTIES}
     human = [
         f"nodes={g.node_count} edges={g.edge_count} loops={g.loop_count} "
         f"nonzeros={g.nonzero_count}",
-        *(f"{label + ':':31}{_flag(flags[p])}" for p, label, _ in reduction.CLASS_G_PROPERTIES),
-        f"member: {_flag(report.member)}",
+        *(f"{label + ':':31}{'yes' if flags[p] else 'no'}"
+          for p, label, _ in reduction.CLASS_G_PROPERTIES),
+        f"member: {'yes' if report.member else 'no'}",
     ]
     outcome: dict = {"member": report.member, **flags}
     if args.pad or args.out:
@@ -239,8 +220,7 @@ def _cmd_classg(args, started: float) -> int:
         )
         human.append(json.dumps(pad_json))
         outcome["padding"] = pad_json
-    _emit(args, [args.file], outcome, human, started)
-    return EXIT_OK
+    return outcome, human
 
 
 def _fig2_checks() -> list[tuple[str, bool]]:
@@ -251,7 +231,7 @@ def _fig2_checks() -> list[tuple[str, bool]]:
     k2_matrix = ((0, 1), (1, 0))
     w_k2 = factorization.factor_search(union, 2, 5, fixed_a=k2_matrix)
     w_d2 = factorization.factor_search(union, 2, 5, fixed_a=factorization.I2_MATRIX)
-    checks = [
+    return [
         ("direct(G1, G2) is isomorphic to G2 u G2",
          are_isomorphic(prod_k2, union, node_limit=None) is not None),
         ("direct(D2, G2) equals G2 u G2 exactly", prod_d2.edges == union.edges),
@@ -262,26 +242,17 @@ def _fig2_checks() -> list[tuple[str, bool]]:
          w_d2 is not None
          and are_isomorphic(w_d2.factor_b, g2, node_limit=None) is not None),
     ]
-    return checks
 
 
 def _fig3_checks() -> list[tuple[str, bool]]:
-    from .core import connected_components, induced_subgraph
-
     g1, g2 = catalog.FIG3_G1, catalog.FIG3_G2
     g3 = products.direct_product(g1, g2)
-    comps = connected_components(g3)
+    comps = [induced_subgraph(g3, nodes) for nodes in connected_components(g3)]
     two = len(comps) == 2
-    equal_counts = False
-    non_isomorphic = False
-    if two:
-        c1 = induced_subgraph(g3, comps[0])
-        c2 = induced_subgraph(g3, comps[1])
-        equal_counts = (
-            c1.node_count == c2.node_count and c1.edge_count == c2.edge_count
-        )
-        if equal_counts:
-            non_isomorphic = are_isomorphic(c1, c2, node_limit=None) is None
+    equal_counts = two and (
+        (comps[0].node_count, comps[0].edge_count) == (comps[1].node_count, comps[1].edge_count)
+    )
+    non_isomorphic = equal_counts and are_isomorphic(*comps, node_limit=None) is None
     witness = factorization.factor_search(g3, 2, 6)
     two_node_factor = (
         witness is not None
@@ -297,7 +268,7 @@ def _fig3_checks() -> list[tuple[str, bool]]:
     ]
 
 
-def _cmd_demo(args, started: float) -> int:
+def _cmd_demo(args) -> tuple[dict, list[str]]:
     checks = _fig2_checks() if args.which == "fig2" else _fig3_checks()
     human = [f"{'PASS' if ok else 'FAIL'}: {claim}" for claim, ok in checks]
     all_pass = all(ok for _, ok in checks)
@@ -307,8 +278,7 @@ def _cmd_demo(args, started: float) -> int:
         "checks": [{"claim": claim, "pass": ok} for claim, ok in checks],
         "all_pass": all_pass,
     }
-    _emit(args, [], outcome, human, started)
-    return EXIT_OK if all_pass else 1
+    return outcome, human
 
 
 _HANDLERS = {
@@ -323,25 +293,32 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    reporting = False
     try:
-        return _HANDLERS[args.command](args, started)
-    except EdgeListParseError as exc:
-        return _fail(args, exc, EXIT_PARSE)
-    except SizeLimitError as exc:
-        return _fail(args, exc, EXIT_SIZE)
-    except PreconditionError as exc:
-        return _fail(args, exc, EXIT_PRECONDITION)
-    except InternalError as exc:
-        return _fail(args, exc, EXIT_INTERNAL)
-    except OSError as exc:
-        return _fail(args, exc, EXIT_PARSE)
-
-
-def _fail(args, exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    if getattr(args, "json", False):
-        print(json.dumps({"command": args.command, "error": str(exc), "exit_code": code}))
-    return code
+        outcome, human = _HANDLERS[args.command](args)
+        reporting = True  # from here on an OSError comes from stdout itself
+        if args.json:
+            report = {
+                "command": args.command,
+                "inputs": [vars(args)[k] for k in ("file", "file1", "file2") if k in args],
+                "outcome": outcome,
+                "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            }
+            print(json.dumps(report))
+        else:
+            print("\n".join(human))
+        # a closed pipe surfaces here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return EXIT_OK if outcome.get("all_pass", True) else 1
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(f"error: {exc}", file=sys.stderr)
+        if reporting:
+            # the error report has nowhere to go either; silence the flush at exit too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        elif args.json:
+            print(json.dumps({"command": args.command, "error": str(exc), "exit_code": code}))
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

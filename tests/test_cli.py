@@ -477,6 +477,19 @@ def test_demo_fig3_passes(capsys):
     assert out.count("PASS") == 5
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_a_failed_demo_check_is_exit_1(json_flag, monkeypatch, capsys):
+    from graphprod import cli
+
+    monkeypatch.setattr(cli, "_fig2_checks", lambda: [("holds", True), ("breaks", False)])
+    code, out, err = run(capsys, "demo", *json_flag, "fig2")
+    assert code == 1 and err == ""
+    if json_flag:
+        assert json.loads(out)["outcome"]["all_pass"] is False
+    else:
+        assert out == "PASS: holds\nFAIL: breaks\nfig2: CHECKS FAILED\n"
+
+
 def test_demo_unknown_figure_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "fig9"])
@@ -489,6 +502,37 @@ def test_demo_json(capsys):
     report = json.loads(out)
     assert report["outcome"]["all_pass"] is True
     assert len(report["outcome"]["checks"]) == 5
+
+
+# -- report envelope -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["product", "--kind", "direct", "--json"], ["c3", "k2"]),
+        (["factor", "--json"], ["twocomp"]),
+        (["iso", "--mode", "reduction", "--json"], ["p4b", "p4"]),
+        (["classg", "--json"], ["c5_loop"]),
+        (["demo", "--json", "fig2"], []),
+    ],
+    ids=["product", "factor", "iso", "classg", "demo"],
+)
+def test_every_json_report_has_one_envelope(argv, files, capsys):
+    code, out, _ = run(capsys, *argv, *map(path, files))
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == ["command", "inputs", "outcome", "elapsed_ms"]
+    assert report["command"] == argv[0]
+    assert report["inputs"] == [path(name) for name in files]
+
+
+@pytest.mark.parametrize("command", ["product", "factor", "iso", "classg", "demo"])
+def test_every_subcommand_help_lists_json(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--json" in capsys.readouterr().out
 
 
 # -- installed entry point -------------------------------------------------------
@@ -573,3 +617,84 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+# -- closed output ---------------------------------------------------------------
+
+
+@pytest.fixture
+def c64(tmp_path):
+    """An edge-list file of C64, whose strong square prints about 200 KB."""
+    from graphprod import write_edge_list
+    from graphprod.catalog import cycle_graph
+
+    target = str(tmp_path / "c64.el")
+    write_edge_list(cycle_graph(64), target)
+    return target
+
+
+def _run_into_a_closed_pipe(argv, unbuffered, read_first):
+    """Run the CLI with stdout on a pipe whose reader closes early.
+
+    ``read_first`` None closes the reader before the child starts; a number
+    reads that many bytes first, so the child is blocked mid-write.
+    """
+    import graphprod
+
+    src = os.path.dirname(os.path.dirname(graphprod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "graphprod.cli", *argv]
+    if read_first is None:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        return proc.returncode, proc.stderr.decode()
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(read_first)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("case", ["factor-closed-first", "product-closed-after-10-bytes"])
+def test_a_closed_stdout_is_exit_2_with_one_error_line(case, json_flag, unbuffered, c64):
+    if case == "factor-closed-first":
+        argv, read_first = ["factor", *json_flag, path("twocomp")], None
+    else:
+        argv, read_first = ["product", "--kind", "strong", *json_flag, c64, c64], 10
+    code, err = _run_into_a_closed_pipe(argv, unbuffered, read_first)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Broken pipe" in err, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_closed_out_pipe_still_gets_the_json_error_report(c64, tmp_path, capsys):
+    import threading
+
+    fifo = str(tmp_path / "out.el")
+    os.mkfifo(fifo)
+
+    def read_10_bytes():
+        fd = os.open(fifo, os.O_RDONLY)
+        os.read(fd, 10)
+        os.close(fd)
+
+    reader = threading.Thread(target=read_10_bytes, daemon=True)
+    reader.start()
+    code, out, err = run(capsys, "product", "--kind", "strong", "--json", "--out", fifo, c64, c64)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert json.loads(out) == {
+        "command": "product", "error": "[Errno 32] Broken pipe", "exit_code": 2
+    }

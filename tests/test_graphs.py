@@ -111,6 +111,13 @@ def test_star_graph_refuses_a_negative_leaf_count(leaves):
         star_graph(leaves)
 
 
+@pytest.mark.parametrize("make", [path_graph, complete_graph])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_path_and_complete_graphs_refuse_a_negative_order(make, n):
+    with pytest.raises(PreconditionError, match="^n must be nonnegative$"):
+        make(n)
+
+
 def test_numpy_integers_are_stored_as_python_ints():
     g = Graph(np.int64(3), {(np.int64(1), np.int64(0)), (1, 2)})
     assert type(g.node_count) is int
