@@ -10,7 +10,13 @@ report on stdout.  The ``GRAPHPROD_MAX_NODES`` environment variable
 overrides the built-in size bounds.
 
 Handlers return their outcome and human lines; ``main`` alone times the
-command, prints the report and maps every error to its exit code.
+command, writes the report and maps every error to its exit code.  Every
+line on stdout and stderr, apart from argparse's usage and help text, goes
+through ``main`` and its one helper ``_write``.  A lost stdout (a closed
+pipe, or a descriptor closed at start-up) is reported with one ``error:``
+line and exit 2, unless the run had already failed with an error, which
+keeps its own code; a closed or broken stderr changes neither the exit code
+nor stdout.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .core import (
     format_edge_list,
     induced_subgraph,
     read_edge_list,
-    write_edge_list,
 )
 from .isomorphism import are_isomorphic
 from .products import ProductKind, product
@@ -160,11 +165,8 @@ def _cmd_iso(args) -> tuple[dict, list[str]]:
         raise SizeLimitError(f"input order {biggest} exceeds GRAPHPROD_MAX_NODES={env}")
     if args.mode == "direct":
         if env is None and biggest > isomorphism.DEFAULT_NODE_LIMIT:
-            print(
-                f"warning: {biggest} nodes exceeds the default "
-                f"{isomorphism.DEFAULT_NODE_LIMIT}-node bound; running anyway",
-                file=sys.stderr,
-            )
+            _write(f"warning: {biggest} nodes exceeds the default "
+                   f"{isomorphism.DEFAULT_NODE_LIMIT}-node bound; running anyway", "stderr")
         witness = are_isomorphic(g1, g2, node_limit=None)
         verdict = "YES" if witness else "NO"
         mapping = list(witness.mapping) if witness else None
@@ -212,7 +214,8 @@ def _cmd_classg(args) -> tuple[dict, list[str]]:
         result = reduction.pad_to_class_g(g)
         pad_json = reduction.padding_result_to_json(result)
         if args.out:
-            write_edge_list(result.padded, args.out)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(pad_json["padded_graph"])
             human.append(f"wrote padded graph to {args.out}")
         human.append(
             f"padded: p={result.chosen_prime} d={result.loops_added} "
@@ -290,35 +293,49 @@ _HANDLERS = {
 }
 
 
+def _write(line: str, name: str = "stdout") -> bool:
+    """Print one line on ``sys.stdout`` or ``sys.stderr`` and flush it; False if it was lost.
+
+    A stream whose write fails has its descriptor pointed at ``os.devnull``,
+    so no later write fails again, the interpreter's flush at exit included;
+    a stream Python left as None (its descriptor was closed at start-up) is
+    skipped the same way.  A lost stdout line is reported on stderr.
+    """
+    stream = getattr(sys, name)
+    try:
+        if stream is None:
+            raise OSError(f"{name} is closed")
+        print(line, file=stream, flush=True)
+        return True
+    except OSError as exc:
+        if stream is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if name == "stdout":
+            _write(f"error: {exc}", "stderr")
+        return False
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
-    reporting = False
     try:
         outcome, human = _HANDLERS[args.command](args)
-        reporting = True  # from here on an OSError comes from stdout itself
-        if args.json:
-            report = {
-                "command": args.command,
-                "inputs": [vars(args)[k] for k in ("file", "file1", "file2") if k in args],
-                "outcome": outcome,
-                "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-            }
-            print(json.dumps(report))
-        else:
-            print("\n".join(human))
-        # a closed pipe surfaces here, not in the interpreter's flush at exit
-        sys.stdout.flush()
-        return EXIT_OK if outcome.get("all_pass", True) else 1
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        print(f"error: {exc}", file=sys.stderr)
-        if reporting:
-            # the error report has nowhere to go either; silence the flush at exit too
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        elif args.json:
-            print(json.dumps({"command": args.command, "error": str(exc), "exit_code": code}))
+        _write(f"error: {exc}", "stderr")
+        if args.json:
+            _write(json.dumps({"command": args.command, "error": str(exc), "exit_code": code}))
         return code
+    if args.json:
+        human = [json.dumps({
+            "command": args.command,
+            "inputs": [vars(args)[k] for k in ("file", "file1", "file2") if k in args],
+            "outcome": outcome,
+            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        })]
+    if not _write("\n".join(human)):
+        return EXIT_PARSE
+    return EXIT_OK if outcome.get("all_pass", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,8 @@ Counting and adjacency conventions used throughout the package:
 
 Every counting argument in :mod:`graphprod.factorization` and
 :mod:`graphprod.reduction` depends on the ``2*m - s`` rule; do not change it.
+``Graph.nonzero_count`` is its one implementation; read that rather than
+recomputing it.
 
 Per-graph data is computed once and cached on the graph: adjacency rows as
 bitmasks (``Graph.adjacency_masks``), the one adjacency view, and one pass of

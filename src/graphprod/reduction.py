@@ -101,12 +101,10 @@ def is_prime_int(x: int) -> bool:
 def class_g_check(g: Graph) -> ClassGReport:
     """Evaluate the five class G properties for any graph."""
     n = g.node_count
-    m = g.edge_count
-    s = g.loop_count
-    t = 2 * m - s
+    t = g.nonzero_count
     p1 = n > 0 and is_connected(g) and not is_bipartite(g)
     p2 = is_prime_int(n)
-    p3 = s < m
+    p3 = g.loop_count < g.edge_count
     p4 = t % 2 != 0
     p5 = t % 3 != 0
     return ClassGReport(p1 and p2 and p3 and p4 and p5, p1, p2, p3, p4, p5)
@@ -170,11 +168,9 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
         raise PreconditionError("padding needs at least 2 nodes")
     if not is_connected(g):
         raise PreconditionError("padding is defined for connected graphs only")
-    m = g.edge_count
-    s = g.loop_count
     for p in filter(is_prime_int, range(2 * n + 1, 4 * n)):
-        base_total = 2 * (m + p) - s  # 2m - s after fan and cycle edges
-        d = div2div3_offset(base_total)
+        # the fan and the cycle add p edges and no loop
+        d = div2div3_offset(g.nonzero_count + 2 * p)
         if p - n >= d + 1:
             break
     else:

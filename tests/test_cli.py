@@ -3,6 +3,7 @@
 import json
 import os
 import subprocess
+import re
 import sys
 import textwrap
 
@@ -445,6 +446,24 @@ def test_classg_pad_json(capsys):
     assert pad["padded_graph"].startswith("7 13\n")
 
 
+def test_classg_out_formats_once_and_writes_what_it_reports(monkeypatch, tmp_path, capsys):
+    from graphprod import cli, core, format_edge_list, reduction
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.node_count)
+        return format_edge_list(g)
+
+    for module in (core, cli, reduction):
+        monkeypatch.setattr(module, "format_edge_list", counted)
+    target = tmp_path / "padded.el"
+    code, out, _ = run(capsys, "classg", "--pad", "--json", "--out", str(target), path("c3"))
+    assert code == 0
+    assert calls == [7]
+    assert target.read_bytes() == json.loads(out)["outcome"]["padding"]["padded_graph"].encode()
+
+
 def test_classg_header_above_the_ceiling_exit_3(tmp_path, capsys):
     huge = tmp_path / "huge.el"
     huge.write_text("1000000000 0\n")
@@ -633,11 +652,11 @@ def c64(tmp_path):
     return target
 
 
-def _run_into_a_closed_pipe(argv, unbuffered, read_first):
-    """Run the CLI with stdout on a pipe whose reader closes early.
+def _child(argv, unbuffered, **streams):
+    """Run ``python -m graphprod.cli`` cold on this checkout's sources.
 
-    ``read_first`` None closes the reader before the child starts; a number
-    reads that many bytes first, so the child is blocked mid-write.
+    The interpreter is started directly, not through a launcher script that
+    might hold a standard descriptor of its own.  ``streams`` go to Popen.
     """
     import graphprod
 
@@ -646,16 +665,47 @@ def _run_into_a_closed_pipe(argv, unbuffered, read_first):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    cmd = [sys.executable, "-m", "graphprod.cli", *argv]
-    if read_first is None:
+    return subprocess.Popen([sys.executable, "-m", "graphprod.cli", *argv], env=env, **streams)
+
+
+def _masked(out: bytes) -> bytes:
+    return re.sub(rb'"elapsed_ms": [0-9.e+-]+', b'"elapsed_ms": 0', out)
+
+
+def _run_with_stream(argv, unbuffered, fd, how):
+    """Exit code, masked stdout and stderr of a cold run.
+
+    Descriptor ``fd`` (1 or 2) is left "open" on a pipe, put on a pipe whose
+    reader closed first ("broken"), or closed in the child at start-up
+    ("closed").
+    """
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    write_end = None
+    if how == "broken":
         read_end, write_end = os.pipe()
         os.close(read_end)
-        try:
-            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
-        finally:
+        streams["stdout" if fd == 1 else "stderr"] = write_end
+    elif how == "closed":
+        streams["preexec_fn"] = lambda: os.close(fd)
+    try:
+        proc = _child(argv, unbuffered, **streams)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if write_end is not None:
             os.close(write_end)
-        return proc.returncode, proc.stderr.decode()
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return proc.returncode, _masked(out or b""), (err or b"").decode()
+
+
+def _run_into_a_closed_pipe(argv, unbuffered, read_first):
+    """Run the CLI with stdout on a pipe whose reader closes early.
+
+    ``read_first`` None closes the reader before the child starts; a number
+    reads that many bytes first, so the child is blocked mid-write.
+    """
+    if read_first is None:
+        code, _, err = _run_with_stream(argv, unbuffered, 1, "broken")
+        return code, err
+    proc = _child(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.read(read_first)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -698,3 +748,49 @@ def test_a_closed_out_pipe_still_gets_the_json_error_report(c64, tmp_path, capsy
     assert json.loads(out) == {
         "command": "product", "error": "[Errno 32] Broken pipe", "exit_code": 2
     }
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_after_a_failed_run_keeps_its_code(unbuffered, tmp_path):
+    missing = str(tmp_path / "missing.el")
+    code, err = _run_into_a_closed_pipe(["factor", "--json", missing], unbuffered, None)
+    assert code == 2, err
+    assert err.startswith("error: [Errno 2] "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stdout_closed_at_start_up_is_exit_2_with_one_error_line(unbuffered):
+    code, _, err = _run_with_stream(["factor", path("c3")], unbuffered, 1, "closed")
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def p17(tmp_path):
+    """An edge-list file of a 17-node path, one past the isomorphism default."""
+    from graphprod import write_edge_list
+    from graphprod.catalog import path_graph
+
+    target = str(tmp_path / "p17.el")
+    write_edge_list(path_graph(17), target)
+    return target
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("how", ["broken", "closed"])
+@pytest.mark.parametrize("case", ["factor-missing", "factor-json-missing", "iso-warning"])
+def test_a_lost_stderr_changes_neither_the_exit_code_nor_stdout(
+    case, how, unbuffered, p17, tmp_path
+):
+    missing = str(tmp_path / "missing.el")
+    argv, expected_code = {
+        "factor-missing": (["factor", missing], 2),
+        "factor-json-missing": (["factor", "--json", missing], 2),
+        "iso-warning": (["iso", "--mode", "direct", "--json", p17, p17], 0),
+    }[case]
+    code, out, open_err = _run_with_stream(argv, unbuffered, 2, "open")
+    assert code == expected_code and open_err.startswith(("error: ", "warning: "))
+    assert _run_with_stream(argv, unbuffered, 2, how)[:2] == (code, out)
