@@ -17,9 +17,7 @@ from graphprod import (
     witness_to_json,
 )
 from graphprod.catalog import D2, K1_4, K2
-from graphprod.factorization import I2_MATRIX
-
-K2_MATRIX = ((0, 1), (1, 0))
+from graphprod.factorization import I2_MATRIX, K2_MATRIX
 
 
 def main():

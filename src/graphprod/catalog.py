@@ -1,7 +1,10 @@
 """Named example graphs and the bundled edge-list corpus.
 
 The constants here are the small graphs used across the demos, the CLI
-corpus, and the test suite.  ``FIG3_G2``'s loop placement (one path looped at
+corpus, and the test suite.  The doubling factor ``D2`` is the one defined
+in :mod:`graphprod.factorization`, which owns the two-node left factors;
+no algorithm module imports this one, so ``import graphprod`` leaves it
+unloaded.  ``FIG3_G2``'s loop placement (one path looped at
 an endpoint, the other at its midpoint) is what makes its product with
 ``FIG3_G1`` split into two non-isomorphic components of equal size.
 """
@@ -12,6 +15,7 @@ from importlib import resources
 from typing import Iterable
 
 from .core import Graph, PreconditionError, as_int, disjoint_union, read_edge_list
+from .factorization import D2
 
 
 def path_graph(n: int) -> Graph:
@@ -49,7 +53,6 @@ def add_loops(g: Graph, nodes: Iterable[int]) -> Graph:
 
 L1 = add_loops(Graph(1), [0])  # single looped node, the direct-product identity
 K2 = complete_graph(2)
-D2 = add_loops(Graph(2), [0, 1])  # doubling factor: D2 x G = G u G
 P3 = path_graph(3)
 P4 = path_graph(4)
 K1_3 = star_graph(3)

@@ -11,12 +11,12 @@ overrides the built-in size bounds.
 
 Handlers return their outcome and human lines; ``main`` alone times the
 command, writes the report and maps every error to its exit code.  Every
-line on stdout and stderr, apart from argparse's usage and help text, goes
-through ``main`` and its one helper ``_write``.  A lost stdout (a closed
-pipe, or a descriptor closed at start-up) is reported with one ``error:``
-line and exit 2, unless the run had already failed with an error, which
-keeps its own code; a closed or broken stderr changes neither the exit code
-nor stdout.
+line on stdout and stderr, argparse's usage and help text included, goes
+through one helper, ``_write``.  A lost stdout (a closed pipe, or a
+descriptor closed at start-up) is reported with one ``error:`` line and
+exit 2, unless the run had already failed with an error, which keeps its
+own code; a closed or broken stderr changes neither the exit code nor
+stdout.
 """
 
 from __future__ import annotations
@@ -77,8 +77,20 @@ def _env_limit() -> int | None:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that writes its help and its usage errors through ``_write``."""
+
+    def print_help(self, file=None) -> None:
+        if not _write(self.format_help().removesuffix("\n")):
+            self.exit(EXIT_PARSE)
+
+    def error(self, message: str):
+        _write(f"{self.format_usage()}{self.prog}: error: {message}", "stderr")
+        self.exit(EXIT_PARSE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphprod",
         description="Graph products, direct-product primality, and isomorphism reductions.",
     )
@@ -230,9 +242,8 @@ def _fig2_checks() -> list[tuple[str, bool]]:
     g1, g2 = catalog.FIG2_G1, catalog.FIG2_G2
     union = disjoint_union(g2, g2)
     prod_k2 = products.direct_product(g1, g2)
-    prod_d2 = products.direct_product(catalog.D2, g2)
-    k2_matrix = ((0, 1), (1, 0))
-    w_k2 = factorization.factor_search(union, 2, 5, fixed_a=k2_matrix)
+    prod_d2 = products.direct_product(factorization.D2, g2)
+    w_k2 = factorization.factor_search(union, 2, 5, fixed_a=factorization.K2_MATRIX)
     w_d2 = factorization.factor_search(union, 2, 5, fixed_a=factorization.I2_MATRIX)
     return [
         ("direct(G1, G2) is isomorphic to G2 u G2",
@@ -309,7 +320,8 @@ def _write(line: str, name: str = "stdout") -> bool:
         return True
     except OSError as exc:
         if stream is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), stream.fileno())
         if name == "stdout":
             _write(f"error: {exc}", "stderr")
         return False

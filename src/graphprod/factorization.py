@@ -87,7 +87,6 @@ from itertools import accumulate, permutations, product
 from operator import index, itemgetter, or_
 from typing import NamedTuple
 
-from .catalog import D2
 from .core import (
     Graph,
     InternalError,
@@ -105,7 +104,12 @@ from .skeleton import certifies_prime
 
 DEFAULT_NODE_LIMIT = 20
 
+# The two-node left factors of the reduction.  D2 (two looped nodes) has
+# matrix I2, and D2 x G = G u G; K2's matrix makes every product bipartite.
+# Graph(2, I2_MATRIX) would read the rows as one edge list and build K2.
 I2_MATRIX = ((1, 0), (0, 1))
+K2_MATRIX = ((0, 1), (1, 0))
+D2 = Graph(2, ((0, 0), (1, 1)))
 
 
 @dataclass(frozen=True)

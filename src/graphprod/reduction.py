@@ -51,7 +51,7 @@ from .core import (
     is_bipartite,
     is_connected,
 )
-from .factorization import I2_MATRIX
+from .factorization import I2_MATRIX, K2_MATRIX
 from .isomorphism import are_isomorphic
 
 CompositenessOracle = Callable[[Graph], bool]
@@ -249,9 +249,6 @@ def graph_isomorphism_via_compositeness(
 
 # -- the two-block elimination decider ---------------------------------------
 
-_ANTIDIAG = ((0, 1), (1, 0))
-
-
 def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """2x2 left-factor candidates for g1 u g2 that survive the counting filters.
 
@@ -272,7 +269,7 @@ def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tup
             continue
         if nonzeros == 4 and total % 4 != 0:
             continue
-        if mat == _ANTIDIAG:
+        if mat == K2_MATRIX:
             continue
         survivors.append(mat)
     return survivors

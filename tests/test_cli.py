@@ -44,6 +44,11 @@ def test_corpus_round_trip_is_byte_identical(tmp_path):
         assert format_edge_list(g) == original
 
 
+def test_corpus_path_names_a_graph_it_does_not_have():
+    with pytest.raises(KeyError, match="no_such_graph"):
+        corpus_path("no_such_graph")
+
+
 # -- product -------------------------------------------------------------------
 
 
@@ -628,6 +633,45 @@ def test_numpy_stays_off_the_import_and_cli_paths(tmp_path):
     ]
 
 
+def test_only_the_cli_imports_the_example_catalog():
+    import ast
+
+    import graphprod
+
+    package = os.path.dirname(graphprod.__file__)
+    importers = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or "", *(a.name for a in node.names)]
+                elif isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                else:
+                    continue
+                if any(m.split(".")[-1] == "catalog" for m in modules):
+                    importers.add(name)
+    assert importers == {"cli.py"}
+
+
+def test_import_graphprod_leaves_the_catalog_unloaded():
+    import graphprod
+    from graphprod import catalog, factorization
+
+    assert catalog.D2 is factorization.D2 is graphprod.D2 is NAMED["d2"]
+    src = os.path.dirname(os.path.dirname(graphprod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graphprod; print('graphprod.catalog' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "graphprod.cli", "demo", "fig2"],
@@ -781,7 +825,9 @@ def p17(tmp_path):
 @pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("how", ["broken", "closed"])
-@pytest.mark.parametrize("case", ["factor-missing", "factor-json-missing", "iso-warning"])
+@pytest.mark.parametrize(
+    "case", ["factor-missing", "factor-json-missing", "iso-warning", "usage-factor", "usage-bogus"]
+)
 def test_a_lost_stderr_changes_neither_the_exit_code_nor_stdout(
     case, how, unbuffered, p17, tmp_path
 ):
@@ -790,7 +836,41 @@ def test_a_lost_stderr_changes_neither_the_exit_code_nor_stdout(
         "factor-missing": (["factor", missing], 2),
         "factor-json-missing": (["factor", "--json", missing], 2),
         "iso-warning": (["iso", "--mode", "direct", "--json", p17, p17], 0),
+        "usage-factor": (["factor"], 2),
+        "usage-bogus": (["--bogus"], 2),
     }[case]
     code, out, open_err = _run_with_stream(argv, unbuffered, 2, "open")
-    assert code == expected_code and open_err.startswith(("error: ", "warning: "))
+    assert code == expected_code and open_err.startswith(("error: ", "warning: ", "usage: "))
     assert _run_with_stream(argv, unbuffered, 2, how)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["factor", "--help"], ["factor"], ["iso"], ["--bogus"]],
+    ids=["help", "factor-help", "factor", "iso", "bogus"],
+)
+def test_help_and_usage_errors_write_what_stock_argparse_writes(
+    argv, unbuffered, monkeypatch, capsys
+):
+    import argparse
+
+    from graphprod import cli
+
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    code = exc.value.code
+    assert code == (0 if "--help" in argv else 2)
+    assert _run_with_stream(argv, unbuffered, 1, "open") == (code, out.encode(), err)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("how", ["broken", "closed"])
+@pytest.mark.parametrize("argv", [["--help"], ["factor", "--help"]], ids=["help", "factor-help"])
+def test_help_with_a_lost_stdout_is_exit_2_with_one_error_line(argv, how, unbuffered):
+    code, _, err = _run_with_stream(argv, unbuffered, 1, how)
+    assert code == 2, err
+    assert err in ("error: [Errno 32] Broken pipe\n", "error: stdout is closed\n"), err
