@@ -21,14 +21,17 @@ bitmasks (``Graph.adjacency_masks``), the one adjacency view, and one pass of
 :func:`breadth_first` over them (``Graph.traversal``), for connectivity,
 components and bipartiteness.
 
-Every algorithm runs on these plain Python views.  numpy is imported only
-by the array helpers :func:`adjacency_matrix` and
-:func:`graph_from_adjacency`, on first call, so importing the package does
-not load it.
+Every algorithm runs on these plain Python views.  numpy is an optional
+extra (``pip install "graphprod[arrays]"``), imported only by the array
+helpers :func:`adjacency_matrix` and :func:`graph_from_adjacency`, on first
+call, so importing the package does not load it.
+:func:`~graphprod.products.verify_kronecker_identity` does not import it:
+it compares bitmask rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -177,11 +180,12 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     """Apply a node bijection: node v of ``g`` becomes ``mapping[v]``.
 
     The one check that a mapping is a permutation of 0..n-1.  Labels are read
-    as :class:`Graph` reads endpoints, numpy integers included.
+    as :class:`Graph` reads endpoints, numpy integers included.  A dict or a
+    set is rejected: it iterates its keys, not v's image at position v.
     """
     n = g.node_count
     try:
-        mapping = list(map(index, mapping))
+        mapping = None if isinstance(mapping, (Mapping, Set)) else list(map(index, mapping))
     except TypeError:  # not a sequence of integers
         mapping = None
     if mapping is None or sorted(mapping) != list(range(n)):
@@ -289,7 +293,10 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 matrix; a self-loop is a single 1 on the diagonal."""
+    """Symmetric 0/1 matrix; a self-loop is a single 1 on the diagonal.
+
+    Needs numpy: ``pip install "graphprod[arrays]"``.
+    """
     import numpy as np
 
     n = g.node_count
@@ -301,7 +308,10 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def graph_from_adjacency(mat: np.ndarray) -> Graph:
-    """Inverse of :func:`adjacency_matrix`; validates symmetry and 0/1 entries."""
+    """Inverse of :func:`adjacency_matrix`; validates symmetry and 0/1 entries.
+
+    Needs numpy: ``pip install "graphprod[arrays]"``.
+    """
     import numpy as np
 
     try:
@@ -391,7 +401,10 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path) -> Graph:
-    """Parse an edge-list file; bytes that are not UTF-8 raise :class:`EdgeListParseError`."""
+    """Parse an edge-list file; bytes that are not UTF-8 raise :class:`EdgeListParseError`.
+
+    One leading UTF-8 byte-order mark, as some editors write, is ignored.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -400,7 +413,8 @@ def read_edge_list(path) -> Graph:
         # Number lines as parse_edge_list does; the bytes before exc.start decode.
         line = len((data[: exc.start] + b"x").decode("utf-8").splitlines())
         raise EdgeListParseError(f"not UTF-8 text (byte {exc.start})", line) from None
-    return parse_edge_list(text)
+    # Decoded as plain utf-8, not utf-8-sig, so exc.start above stays a file offset.
+    return parse_edge_list(text.removeprefix("\ufeff"))
 
 
 def write_edge_list(g: Graph, path) -> None:

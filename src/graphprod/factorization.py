@@ -100,6 +100,7 @@ from .core import (
     is_connected,
 )
 from .isomorphism import IsomorphismWitness, is_isomorphism
+from .products import kronecker_rows
 from .skeleton import certifies_prime
 
 DEFAULT_NODE_LIMIT = 20
@@ -131,9 +132,9 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
     False unless ``w`` has both factors as graphs and a labeling whose
     integer pairs cover range(a) x range(b) once each.  Each vertex v at
     (r, c) is then checked on bitmask rows: the labels r' * b + c' of v's
-    neighbours must be exactly row r * b + c of A (x) B, which is B's row c
-    shifted to block r' for every r' with A[r][r'] = 1, read from the
-    factors' own adjacency.
+    neighbours must be exactly row r * b + c of A (x) B, as
+    :func:`~graphprod.products.kronecker_rows` builds it from the factors'
+    own adjacency.
     """
     fa, fb, labeling = (getattr(w, name, None) for name in ("factor_a", "factor_b", "labeling"))
     if not (isinstance(fa, Graph) and isinstance(fb, Graph)):
@@ -148,14 +149,12 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
     if sorted(pairs) != list(product(range(a), range(b))):
         return False
     label = [r * b + c for r, c in pairs]
-    a_rows, b_rows = fa.adjacency_masks, fb.adjacency_masks
-    for mask, (r, c) in zip(g.adjacency_masks, pairs):
-        moved = expected = 0
+    expected = kronecker_rows(fa.adjacency_masks, fb.adjacency_masks)
+    for mask, v_label in zip(g.adjacency_masks, label):
+        moved = 0
         for u in bits(mask):
             moved |= 1 << label[u]
-        for s in bits(a_rows[r]):
-            expected |= b_rows[c] << s * b
-        if moved != expected:
+        if moved != expected[v_label]:
             return False
     return True
 

@@ -8,6 +8,8 @@ deterministic.
 import random
 import time
 
+import numpy as np
+
 from graphprod import (
     D2,
     are_isomorphic,
@@ -81,30 +83,43 @@ def _iso_representatives(graphs):
     return reps
 
 
+def _matrix(g) -> np.ndarray:
+    """The 0/1 adjacency matrix of g, built here rather than by graphprod."""
+    mat = np.zeros((g.node_count, g.node_count), dtype=np.uint8)
+    for u, v in g.edges:
+        mat[u, v] = mat[v, u] = 1
+    return mat
+
+
 def test_criterion_01_kronecker_identity():
+    def check(g1, g2):
+        assert verify_kronecker_identity(g1, g2)
+        # an independent reference: numpy's Kronecker product of the factors
+        assert np.array_equal(np.kron(_matrix(g1), _matrix(g2)), _matrix(direct_product(g1, g2)))
+
     def body():
         small = [g for n in (1, 2, 3) for g in all_graphs(n)]
         assert len(small) == 74
         for g1 in small:
             for g2 in small:
-                assert verify_kronecker_identity(g1, g2)
+                check(g1, g2)
         # 4-node graphs exhaustively by isomorphism class (the identity
         # transports along relabelings, which the random pairs exercise)
         reps4 = _iso_representatives(all_graphs(4))
         everything = small + reps4
         for g1 in everything:
             for g2 in reps4:
-                assert verify_kronecker_identity(g1, g2)
-                assert verify_kronecker_identity(g2, g1)
+                check(g1, g2)
+                check(g2, g1)
         rng = random.Random(101)
         for _ in range(2000):
             g1 = random_graph(4, rng, edge_p=rng.random(), loop_p=rng.random())
             g2 = random_graph(4, rng, edge_p=rng.random(), loop_p=rng.random())
-            assert verify_kronecker_identity(g1, g2)
+            check(g1, g2)
         for _ in range(200):
             g1 = random_graph(rng.randint(1, 6), rng)
             g2 = random_graph(rng.randint(1, 6), rng)
-            assert verify_kronecker_identity(g1, g2)
+            check(g1, g2)
 
     _criterion("criterion 1: Kronecker identity of the direct product", 10.0, body)
 

@@ -147,6 +147,13 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
     assert report["command"] == argv[0] and report["exit_code"] == 2
 
 
+def test_factor_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    marked = tmp_path / "marked.el"
+    marked.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 2\n")
+    code, _, err = run(capsys, "factor", str(marked))
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize(
     "env,missing,message",
     [
@@ -566,8 +573,15 @@ _NUMPY_FREE_RUNS = textwrap.dedent(
     """
     import contextlib, io, os, sys
 
+    sys.modules["numpy"] = None  # blocked: any import of numpy now fails
+
     import graphprod, graphprod.cli
-    from graphprod.catalog import corpus_path
+    from graphprod import (
+        adjacency_matrix, direct_product, disjoint_union, factor_search, find_factorization,
+        graph_from_adjacency, kronecker, verify_kronecker_identity, witness_is_valid,
+    )
+    from graphprod.catalog import C3, K2, corpus_path
+    from graphprod.factorization import I2_MATRIX
 
     def p(name):
         return str(corpus_path(name))
@@ -589,13 +603,22 @@ _NUMPY_FREE_RUNS = textwrap.dedent(
         with contextlib.redirect_stdout(io.StringIO()):
             code = graphprod.cli.main(argv)
         print(argv[0], code)
-    print("numpy loaded:", "numpy" in sys.modules)
+    print(verify_kronecker_identity(K2, C3))
+    g = direct_product(K2, C3)
+    print(witness_is_valid(g, find_factorization(g)))
+    print(factor_search(disjoint_union(C3, C3), 2, 3, fixed_a=I2_MATRIX) is not None)
+    for helper, args in (
+        (adjacency_matrix, (C3,)),
+        (graph_from_adjacency, ([[0]],)),
+        (kronecker, ([[1]], [[1]])),
+    ):
+        try:
+            helper(*args)
+        except ModuleNotFoundError as exc:
+            print(helper.__name__, exc)
 
+    del sys.modules["numpy"]  # unblocked
     import numpy as np
-    from graphprod import (
-        adjacency_matrix, graph_from_adjacency, kronecker, verify_kronecker_identity,
-    )
-    from graphprod.catalog import C3, K2
 
     mat = adjacency_matrix(C3)
     print(isinstance(mat, np.ndarray), mat.dtype)
@@ -624,8 +647,16 @@ def test_numpy_stays_off_the_import_and_cli_paths(tmp_path):
         "product 0", "factor 0", "factor 0", "iso 0", "iso 0", "iso 0",
         "classg 0", "demo 0", "demo 0",
     ]
-    assert lines[9:] == [
-        "numpy loaded: False",
+    blocked = "import of numpy halted; None in sys.modules"
+    assert lines[9:15] == [
+        "True",
+        "True",
+        "True",
+        f"adjacency_matrix {blocked}",
+        f"graph_from_adjacency {blocked}",
+        f"kronecker {blocked}",
+    ]
+    assert lines[15:] == [
         "True uint8",
         "True",
         "True uint8 (6, 6)",

@@ -305,6 +305,9 @@ def test_relabel_is_inverse_friendly():
         (C3, ["0", "1", "2"]),
         (C3, None),
         (Graph(0), None),
+        # a dict or a set iterates its keys, not the image at each position
+        (C3, {0: 1, 1: 2, 2: 0}),
+        (C3, {2, 0, 1}),
     ):
         with pytest.raises(
             PreconditionError, match=r"^mapping must be a permutation of 0\.\.n-1$"
@@ -398,3 +401,16 @@ def test_read_rejects_bytes_that_are_not_utf8(tmp_path):
     good = tmp_path / "good.el"
     good.write_bytes("3 1\n# café\r\n0 1\n".encode())
     assert read_edge_list(good) == Graph(3, frozenset({(0, 1)}))
+
+
+def test_read_ignores_one_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.el", tmp_path / "marked.el"
+    plain.write_bytes(b"3 2\n0 1\n1 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 2\n")
+    assert read_edge_list(marked) == read_edge_list(plain) == Graph(3, [(0, 1), (1, 2)])
+    marked.write_bytes(b"\xef\xbb\xbf# written by an editor\n3 2\n0 1\n1 2\n")
+    assert read_edge_list(marked) == read_edge_list(plain)
+    # a bad byte after the mark is still reported at its offset in the file
+    marked.write_bytes(b"\xef\xbb\xbf1 2\n\xff")
+    with pytest.raises(EdgeListParseError, match=r"line 2: not UTF-8 text \(byte 7\)"):
+        read_edge_list(marked)

@@ -45,6 +45,7 @@ def test_relabeled_triangle_has_witness():
     assert not is_isomorphism(C3, other, (0, 0, 1))  # not a permutation
     assert is_isomorphism(C3, C3, np.arange(3))
     assert is_isomorphism(C3, C3, (0.0, 1.0, 2.0)) is False  # not integers
+    assert is_isomorphism(C3, C3, {0: 0, 1: 1, 2: 2}) is False  # a dict is not a sequence
 
 
 def test_loop_position_distinguishes_paths():
