@@ -261,7 +261,13 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
-    """Subgraph on ``nodes``, distinct nodes of ``g``, renumbered by their position."""
+    """Subgraph on ``nodes``, distinct nodes of ``g``, renumbered by their position.
+
+    A set or a dict is rejected: a set has no positions, and a dict iterates
+    its keys.
+    """
+    if isinstance(nodes, (Mapping, Set)):
+        raise PreconditionError("nodes must be a sequence or an iterator, not a set or a mapping")
     try:  # read once, as an iterator would be used up
         nodes = list(map(index, nodes))
     except TypeError:  # not an iterable of integers

@@ -3,20 +3,23 @@
 The factor search answers: can graph g be relabelled so that its adjacency
 matrix becomes A (x) B for some graphs A (order a) and B (order b)?  The
 left order a never exceeds the square root of the node count, so the left
-factors are listed outright, in one table per order built on first use
-with one record per isomorphism class (6, 20, 90 and 544 for a = 2, 3, 4,
-5, of 8, 64, 1024 and 32768 symmetric 0/1 matrices).  In ascending bitmask
+factors are listed outright, in one table per order built on first use with
+one record per isomorphism class (6, 20, 90 and 544 for a = 2, 3, 4, 5, of
+8, 64, 1024 and 32768 symmetric 0/1 matrices).  Each record holds A as a
+:class:`~graphprod.core.Graph`, which is the ``factor_a`` of every witness
+found through it, and reads the rest off that graph's cached views; a
+``fixed_a`` matrix is read into such a Graph first.  In ascending bitmask
 order, the first matrix not yet seen is the smallest of its class, the one
 Read's orderly generation picks (Ann. Discrete Math. 2, 1978); one pass
 over its a! row permutations marks the class as seen and gives the orbits
 of Aut(A) on rows.  Counting filters on the records discard most classes
 before any engine is built: loop counts must factor, a bipartite A cannot
-produce a nonbipartite g, and row sums must multiply out.  Vertex (r, c)
-of A (x) B has row sum rowsum_A(r) * rowsum_B(c), so g's row sums must be
-the multiset {ar * s}, with ar over A's row sums and s over some multiset S
-of b values in 0..b.  One greedy peel decides this exactly: each zero row
-of A takes b zeros, and then the smallest sum left must be low * min(S),
-with low the smallest nonzero row sum of A, so it fixes the next s and the
+produce a nonbipartite g, and row sums must multiply out.  Vertex (r, c) of
+A (x) B has row sum rowsum_A(r) * rowsum_B(c), so g's row sums must be the
+multiset {ar * s}, with ar over A's row sums and s over some multiset S of
+b values in 0..b.  One greedy peel decides this exactly: each zero row of A
+takes b zeros, and then the smallest sum left must be low * min(S), with
+low the smallest nonzero row sum of A, so it fixes the next s and the
 products it forces (the proof is in :func:`_row_sums_factor`).  The rule
 implies the older totals: nnz(g) = nnz(A) * sum(S) with sum(S) <= b * b,
 and a zero row of A needs b isolated vertices in g.  Two symmetry rules
@@ -83,7 +86,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, compress, permutations, product
 from operator import index, itemgetter, or_
 from typing import NamedTuple
 
@@ -93,7 +96,6 @@ from .core import (
     PreconditionError,
     as_int,
     bits,
-    breadth_first,
     check_node_limit,
     disjoint_union,
     is_bipartite,
@@ -107,10 +109,9 @@ DEFAULT_NODE_LIMIT = 20
 
 # The two-node left factors of the reduction.  D2 (two looped nodes) has
 # matrix I2, and D2 x G = G u G; K2's matrix makes every product bipartite.
-# Graph(2, I2_MATRIX) would read the rows as one edge list and build K2.
+# D2 itself is read from I2_MATRIX below, by the fixed_a reader.
 I2_MATRIX = ((1, 0), (0, 1))
 K2_MATRIX = ((0, 1), (1, 0))
-D2 = Graph(2, ((0, 0), (1, 1)))
 
 
 @dataclass(frozen=True)
@@ -170,25 +171,24 @@ def witness_to_json(w: FactorizationWitness) -> dict:
     }
 
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
 def _axis(x) -> list:
     """The items of ``x`` if numpy reads ``x`` as an array axis, else ``[]``.
 
-    Array-likes (numpy arrays and scalars) are read through ``__array__``.
-    Strings and bytes are scalars to numpy; sets, mappings and iterators
-    become 0-d object arrays.
+    Array-likes (numpy arrays and scalars) are read through ``__array__``,
+    each item as an array, so the cell of an object array is never a further
+    axis, whatever it holds.  Strings and bytes are scalars to numpy; sets,
+    mappings and iterators become 0-d object arrays.
     """
     if hasattr(x, "__array__"):
-        x = x.__array__().tolist()
+        x = x.__array__()
+        return [x[i, ...] for i in range(len(x))] if x.ndim else []
     if isinstance(x, Sequence) and not isinstance(x, (str, bytes)):
         return list(x)
     return []
 
 
-def _check_fixed_a(fixed_a, a: int) -> Matrix:
-    """``fixed_a`` as a tuple matrix, read without numpy as ``numpy.asarray`` would."""
+def _check_fixed_a(fixed_a, a: int) -> Graph:
+    """``fixed_a`` as a graph, read without numpy as ``numpy.asarray`` would."""
     rows = [_axis(row) for row in _axis(fixed_a)]
     if (
         len(rows) != a
@@ -196,10 +196,16 @@ def _check_fixed_a(fixed_a, a: int) -> Matrix:
         or any(_axis(x) for row in rows for x in row)  # a third axis
     ):
         raise PreconditionError(f"fixed_a must be a {a}x{a} matrix")
-    cells = tuple(tuple(1 if x == 1 else 0 if x == 0 else -1 for x in row) for row in rows)
-    if any(cells[i][j] < 0 or cells[i][j] != cells[j][i] for i in range(a) for j in range(a)):
+    try:
+        entries = tuple(tuple(1 if x == 1 else 0 if x == 0 else -1 for x in row) for row in rows)
+    except ValueError:  # an array cell of several items has no truth value
+        entries = ((-1,) * a,) * a
+    if any(entries[i][j] < 0 or entries[i][j] != entries[j][i] for i in range(a) for j in range(a)):
         raise PreconditionError("fixed_a must be a symmetric 0/1 matrix")
-    return cells
+    return Graph(a, ((i, j) for i in range(a) for j in range(i, a) if entries[i][j]))
+
+
+D2 = _check_fixed_a(I2_MATRIX, 2)
 
 
 # Bit k of a matrix's bitmask is its k-th upper-triangle cell, row by row.
@@ -207,13 +213,6 @@ def _check_fixed_a(fixed_a, a: int) -> Matrix:
 # compare as bitmasks do and itertools.product lists them in ascending order.
 def _upper(a: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(a) for j in range(i, a)][::-1]
-
-
-def _matrix(a: int, key: tuple[int, ...]) -> Matrix:
-    mat = [[0] * a for _ in range(a)]
-    for x, (i, j) in zip(key, _upper(a)):
-        mat[i][j] = mat[j][i] = x
-    return tuple(map(tuple, mat))
 
 
 def _permuters(a: int) -> list:
@@ -226,37 +225,40 @@ def _permuters(a: int) -> list:
 
 
 class _LeftFactor(NamedTuple):
-    """One left factor A, with everything the counting filters and the search read."""
+    """One left factor A, with everything the counting filters and the search read.
 
-    cells: Matrix
+    ``graph`` is A itself, the ``factor_a`` of every witness found through
+    it; the other fields are read off its cached views.
+    """
+
+    graph: Graph
     first_rows: tuple[int, ...]  # the smallest row of each orbit of Aut(A) on rows
     loops: int
     bipartite: bool
     rowsums: tuple[int, ...]
+    looped: tuple[int, ...]  # looped[r]: A[r][r]
     linked: tuple[tuple[int, ...], ...]  # linked[r]: the rows s with A[r][s] = 1
     unlinked: tuple[tuple[int, ...], ...]
 
 
-def _left_factor(cells: Matrix, permuters: list) -> tuple[_LeftFactor, set[tuple[int, ...]]]:
-    """The record of A = ``cells`` and the keys of every P A P^T, over row permutations P."""
-    a = len(cells)
-    flat = sum(cells, ())
+def _left_factor(graph: Graph, permuters: list) -> tuple[_LeftFactor, set[tuple[int, ...]]]:
+    """The record of A = ``graph`` and the keys of every P A P^T, over row permutations P."""
+    a, masks = graph.node_count, graph.adjacency_masks
+    flat = tuple(m >> s & 1 for m in masks for s in range(a))  # A, row by row
     images = [permute(flat) for _, permute in permuters]
     # the identity comes first; row r is the smallest of its orbit under the
     # automorphisms unless one of them carries it to a smaller row
     automorphisms = [perm for (perm, _), image in zip(permuters, images) if image == images[0]]
     first_rows = tuple(r for r in range(a) if all(perm[r] >= r for perm in automorphisms))
-    masks = [sum(x << j for j, x in enumerate(row)) for row in cells]
-    loops = sum(m >> i & 1 for i, m in enumerate(masks))
-    rowsums = tuple(m.bit_count() for m in masks)
     record = _LeftFactor(
-        cells,
+        graph,
         first_rows,
-        loops,
-        breadth_first(masks).coloring is not None,
-        rowsums,
-        tuple(tuple(s for s in range(a) if row[s]) for row in cells),
-        tuple(tuple(s for s in range(a) if not row[s]) for row in cells),
+        graph.loop_count,
+        is_bipartite(graph),
+        tuple(m.bit_count() for m in masks),
+        tuple(m >> r & 1 for r, m in enumerate(masks)),
+        tuple(tuple(s for s in range(a) if m >> s & 1) for m in masks),
+        tuple(tuple(s for s in range(a) if not m >> s & 1) for m in masks),
     )
     return record, set(images)
 
@@ -264,12 +266,12 @@ def _left_factor(cells: Matrix, permuters: list) -> tuple[_LeftFactor, set[tuple
 @lru_cache(maxsize=None)  # one entry per left order reached
 def _left_factors(a: int) -> tuple[_LeftFactor, ...]:
     """One record per class of order-a left factors, for its first key in ascending order."""
-    permuters = _permuters(a)
+    permuters, upper = _permuters(a), _upper(a)
     seen: set[tuple[int, ...]] = set()
     out = []
-    for key in product((0, 1), repeat=a * (a + 1) // 2):
+    for key in product((0, 1), repeat=len(upper)):
         if key not in seen:
-            record, orbit = _left_factor(_matrix(a, key), permuters)
+            record, orbit = _left_factor(Graph(a, compress(upper, key)), permuters)
             seen |= orbit
             out.append(record)
     return tuple(out)
@@ -319,7 +321,7 @@ def _left_factor_feasible(
 
     ``sums`` is g's row sums in ascending order.
     """
-    b = g.node_count // len(left.cells)
+    b = g.node_count // left.graph.node_count
     loops_a, loops_g = left.loops, g.loop_count
     if loops_g > 0 and loops_a == 0:
         return False
@@ -344,7 +346,7 @@ class _FactorSearch:
 
     def __init__(self, g: Graph, b: int, left: _LeftFactor):
         self.g = g
-        self.a = a = len(left.cells)
+        self.a = a = left.graph.node_count
         self.b = b
         self.left = left
         # g's views, read on every placement, bound to the engine once
@@ -359,7 +361,7 @@ class _FactorSearch:
         self.allowed_rows = [
             [r for r, ar in enumerate(left.rowsums)
              if (d % ar == 0 and d // ar <= b if ar else d == 0)
-             and (left.cells[r][r] or not masks[v] >> v & 1)
+             and (left.looped[r] or not masks[v] >> v & 1)
              and (v != order[0] or r in left.first_rows)]
             for v, d in enumerate(self.rowsums)
         ]
@@ -431,7 +433,7 @@ class _FactorSearch:
                     if b_rowsums[c] >= 0 and d != ar * b_rowsums[c]:
                         continue
                     one_c, zero_c = one, zero
-                    if left.cells[r][r]:
+                    if left.looped[r]:
                         if loop:
                             one_c |= 1 << c
                         else:
@@ -450,11 +452,9 @@ class _FactorSearch:
                     self._toggle(r, c, new_one, new_zero)
 
     def _finish(self) -> FactorizationWitness:
-        cells = self.left.cells
-        a_edges = {(i, j) for i in range(self.a) for j in range(i, self.a) if cells[i][j]}
         b_edges = {(k, l) for k in range(self.b) for l in bits(self.ones[k]) if k <= l}
         witness = FactorizationWitness(
-            Graph(self.a, a_edges),
+            self.left.graph,
             Graph(self.b, b_edges),
             tuple(zip(self.rows, self.cols)),
         )
@@ -598,6 +598,8 @@ def isomorphism_from_union_factorization(
     pinned to D2.  Connectivity forces each input graph into a single row of
     the labeling, so matching column positions across the two rows reads off
     the isomorphism.  Returns None exactly when no such factorization exists.
+    ``node_limit`` bounds the union's 2n nodes, not n: at the default 20,
+    two 11-node graphs raise :class:`~graphprod.core.SizeLimitError`.
     """
     n = _require_connected_pair(g1, g2, "union factorization")
     union = disjoint_union(g1, g2)

@@ -308,13 +308,13 @@ def elimination_oracle(g: Graph) -> bool:
     c2 = induced_subgraph(g, comps[1])
     if c1.node_count != c2.node_count:
         raise PreconditionError("elimination oracle needs equal-order components")
+    require_class_g(c1, "first component")
+    require_class_g(c2, "second component")
     if c1.edge_count != c2.edge_count:
         # Padding same-order same-size inputs with different loop counts lands
         # here: both components are in class G but their edge counts differ.
         # The union splits only as 2 x p (p prime), I2 would force isomorphic
         # components (equal edge counts), and every other admissible left
         # factor forces even-order components; so the union is prime.
-        require_class_g(c1, "first component")
-        require_class_g(c2, "second component")
         return False
     return union_compositeness_by_elimination(c1, c2)

@@ -422,8 +422,8 @@ def test_one_left_factor_per_isomorphism_class(a, classes):
     for mask, mat in enumerate(_symmetric_matrices(a)):
         masks, perms = _class_masks(mat)
         first.setdefault(int(masks.min()), mat)
-        record, orbit = _left_factor(mat, _permuters(a))
-        assert record.cells == mat, mat
+        record, orbit = _left_factor(_matrix_graph(mat), _permuters(a))
+        assert record.graph == _matrix_graph(mat), mat
         assert {int("".join(map(str, key)), 2) for key in orbit} == set(masks.tolist()), mat
         orbit_min = [
             min(int(np.argmax(p[:, r])) for p, m in zip(perms, masks) if m == mask)
@@ -432,19 +432,21 @@ def test_one_left_factor_per_isomorphism_class(a, classes):
         assert record.first_rows == tuple(sorted(set(orbit_min))), mat
     records = _left_factors(a)
     assert len(records) == classes
-    assert [record.cells for record in records] == list(first.values())
-    assert list(records) == [_left_factor(r.cells, _permuters(a))[0] for r in records]
+    assert [record.graph for record in records] == list(map(_matrix_graph, first.values()))
+    rebuilt = [_left_factor(_matrix_graph(mat), _permuters(a))[0] for mat in first.values()]
+    assert list(records) == rebuilt
 
 
 def test_left_factors_of_order_5_are_the_544_class_minima():
     # OEIS A000666: 544 graphs with loops allowed on 5 nodes
     records = _left_factors(5)
     assert len(records) == 544
-    index = {mat: mask for mask, mat in enumerate(_symmetric_matrices(5))}
-    masks = [index[record.cells] for record in records]
+    mats = _symmetric_matrices(5)
+    index = {_matrix_graph(mat): mask for mask, mat in enumerate(mats)}
+    masks = [index[record.graph] for record in records]
     assert masks == sorted(set(masks))
     for record, mask in zip(records, masks):
-        assert int(_class_masks(record.cells)[0].min()) == mask, record.cells
+        assert int(_class_masks(mats[mask])[0].min()) == mask, record.graph
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])
@@ -452,10 +454,12 @@ def test_per_matrix_counts_match_the_graph_of_each_matrix(a):
     for mat in _symmetric_matrices(a):
         edges = frozenset((i, j) for i in range(a) for j in range(i, a) if mat[i][j])
         g = Graph(a, edges)
-        left = _left_factor(mat, _permuters(a))[0]
+        left = _left_factor(g, _permuters(a))[0]
+        assert left.graph is g
         assert (left.loops, left.bipartite) == (g.loop_count, is_bipartite(g)), mat
+        assert left.looped == tuple(mat[r][r] for r in range(a)), mat
+        assert left.rowsums == tuple(map(sum, mat)), mat
         masks = g.adjacency_masks
-        assert left.rowsums == tuple(m.bit_count() for m in masks), mat
         assert left.linked == tuple(tuple(bits(m)) for m in masks), mat
         full = (1 << a) - 1
         assert left.unlinked == tuple(tuple(bits(full & ~m)) for m in masks), mat
@@ -503,14 +507,14 @@ def test_every_planted_product_passes_the_left_factor_filters():
     rng = random.Random(1414)
     for a in (2, 3, 4):
         for left in _left_factors(a):
-            fa = _matrix_graph(left.cells)
+            fa = left.graph
             for b in (2, 3, 4):
                 part = random_graph(b - 1, rng, edge_p=0.6, loop_p=0.5)
                 for fb in (random_graph(b, rng, loop_p=0.5), Graph(b, part.edges), Graph(b)):
                     g = random_relabeling(direct_product(fa, fb), rng)
                     sums = _sorted_rowsums(g)
-                    assert _row_sums_factor(sums, left.rowsums, b), (left.cells, fb)
-                    assert _left_factor_feasible(left, g, is_bipartite(g), sums), (left.cells, fb)
+                    assert _row_sums_factor(sums, left.rowsums, b), (fa, fb)
+                    assert _left_factor_feasible(left, g, is_bipartite(g), sums), (fa, fb)
 
 
 def _criterion_7_unions(rng, count):
@@ -546,7 +550,7 @@ def test_every_left_factor_the_row_sums_reject_has_no_witness():
             for left in _left_factors(a):
                 if not _row_sums_factor(sums, left.rowsums, n // a):
                     rejected += 1
-                    assert _FactorSearch(g, n // a, left).run() is None, (g, left.cells)
+                    assert _FactorSearch(g, n // a, left).run() is None, (g, left.graph)
     assert rejected >= 1000
 
 
@@ -605,8 +609,8 @@ _LOOPED_EDGE = ((1, 1), (1, 0))
     ],
 )
 def test_fixed_a_accepted(fixed_a, cells):
-    assert _check_fixed_a(fixed_a, 2) == cells
     left = Graph(2, frozenset((i, j) for i in range(2) for j in range(i, 2) if cells[i][j]))
+    assert _check_fixed_a(fixed_a, 2) == left
     witness = factor_search(direct_product(left, C3), 2, 3, fixed_a=fixed_a)
     assert witness is not None and witness.factor_a == left
 
@@ -645,6 +649,117 @@ def test_fixed_a_rejected(fixed_a):
         factor_search(direct_product(K2, C3), 2, 3, fixed_a=fixed_a)
 
 
+def _numpy_reading(fixed_a, a):
+    """The graph numpy reads ``fixed_a`` as, or None where it is no symmetric a x a 0/1 matrix."""
+    try:  # ragged, or an array cell of several items, which has no truth value
+        mat = np.asarray(fixed_a)
+        if mat.shape != (a, a) or not np.array_equal(mat, mat.T):
+            return None
+        if not np.isin(mat, (0, 1)).all():
+            return None
+    except ValueError:
+        return None
+    return Graph(a, ((i, j) for i in range(a) for j in range(i, a) if mat[i, j]))
+
+
+_ODD_CELLS = (
+    2, -1, 0.5, float("nan"), None, "1", "0", b"\x01", [1], [0], (1,), {1}, {0: 1},
+    np.array([1]), np.array([[0]]), np.array([1, 0]), np.float64("nan"),
+)
+_OFF_SHAPE = (1, 0, np.int64(1), "10", b"\x01\x00", None, float("nan"), {(1, 0)}, {0: [1, 0]})
+
+
+def _zero_one(rng, x):
+    """0 or 1 as one of the number types numpy and Python spell it with."""
+    return rng.choice((int, float, bool, np.int64, np.uint8, np.float32, np.bool_, np.array))(x)
+
+
+def _random_fixed_a(rng, a):
+    """A candidate for fixed_a: a random symmetric 0/1 matrix, mostly, in many spellings."""
+    if rng.random() < 0.04:
+        return rng.choice(_OFF_SHAPE)
+    mat = [[0] * a for _ in range(a)]
+    for i in range(a):
+        for j in range(i, a):
+            mat[i][j] = mat[j][i] = rng.getrandbits(1)
+    if rng.random() < 0.2:
+        mat[rng.randrange(a)][rng.randrange(a)] ^= 1  # mostly asymmetric
+    rows = [[_zero_one(rng, x) for x in row] for row in mat]
+    if rng.random() < 0.25:  # one odd cell, or one odd cell at each mirror position
+        i, j, odd = rng.randrange(a), rng.randrange(a), rng.choice(_ODD_CELLS)
+        rows[i][j] = odd
+        if rng.random() < 0.5:
+            rows[j][i] = odd
+    if rng.random() < 0.1:  # ragged: one row one cell short or long
+        row = rows[rng.randrange(a)]
+        if rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(0)
+    if rng.random() < 0.05:  # a row too many or too few
+        if rng.random() < 0.5:
+            rows.pop()
+        else:
+            rows.append(list(rows[0]))
+    if rng.random() < 0.05:  # a third axis
+        rows = [[[x] for x in row] for row in rows]
+    spell = rng.choice(("list", "tuple", "rows as arrays", "array", "object array"))
+    if spell in ("list", "tuple"):
+        kind = list if spell == "list" else tuple
+        return kind(map(kind, rows))
+    if spell == "rows as arrays":
+        try:
+            return [np.array(row) for row in rows]
+        except ValueError:  # a ragged cell
+            return rows
+    try:
+        if spell == "array":
+            return np.array(rows, dtype=rng.choice((None, int, float, bool)))
+        return np.array(rows, dtype=object)
+    except (TypeError, ValueError):  # a cell the dtype cannot hold, or ragged
+        return tuple(map(tuple, rows))
+
+
+def test_fixed_a_reads_as_numpy_does():
+    # the reader is numpy-free; numpy's own reading is the reference
+    rng = random.Random(2727)
+    accepted = 0
+    for a in (2, 3):
+        for _ in range(10000):
+            fixed_a = _random_fixed_a(rng, a)
+            want = _numpy_reading(fixed_a, a)
+            try:
+                got = _check_fixed_a(fixed_a, a)
+            except PreconditionError:
+                got = None
+            assert got == want, (fixed_a, a)
+            accepted += want is not None
+    assert 2000 <= accepted <= 18000, accepted
+
+
+def test_each_witness_carries_its_left_factor_record(monkeypatch):
+    # factor_a is the record's own graph, not a copy, and a finished engine
+    # builds one graph: B
+    rng = random.Random(2828)
+    cases = []
+    for a, b in ((2, 3), (2, 4), (3, 3)):
+        for _ in range(4):
+            fa = random_graph(a, rng, edge_p=0.6, loop_p=0.5)
+            g = random_relabeling(direct_product(fa, random_graph(b, rng, edge_p=0.6)), rng)
+            witness = factor_search(g, a, b)
+            assert witness is not None, g
+            (record,) = [r for r in _left_factors(a) if r.graph == witness.factor_a]
+            assert witness.factor_a is record.graph
+            cases.append((g, b, record, witness))
+    built = []
+    init = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self) or init(self))
+    for g, b, record, witness in cases:
+        built.clear()
+        assert _FactorSearch(g, b, record).run() == witness
+        assert [h.node_count for h in built] == [b], g
+
+
 def _differential_cases():
     rng = random.Random(5150)
     for n in (6, 8, 9, 12):
@@ -671,7 +786,8 @@ def test_search_matches_every_exact_left_factor_in_order():
             b = n // a
             expect = None
             for mat in _symmetric_matrices(a):
-                plain = _left_factor(mat, _permuters(a))[0]._replace(first_rows=tuple(range(a)))
+                plain = _left_factor(_matrix_graph(mat), _permuters(a))[0]
+                plain = plain._replace(first_rows=tuple(range(a)))
                 expect = _FactorSearch(g, b, plain).run()
                 assert factor_search(g, a, b, fixed_a=mat) == expect, (g, mat)
                 if expect is not None:

@@ -224,6 +224,9 @@ def test_connected_components_and_induced_subgraph():
         ([0.0, 1.0], "^nodes must be integers$"),
         (["0"], "^nodes must be integers$"),
         (None, "^nodes must be integers$"),
+        # a set has no positions and a dict iterates its keys
+        ({0, 1}, "^nodes must be a sequence or an iterator, not a set or a mapping$"),
+        ({0: 1, 1: 0}, "^nodes must be a sequence or an iterator, not a set or a mapping$"),
     ):
         with pytest.raises(PreconditionError, match=message):
             induced_subgraph(C3, nodes)

@@ -279,6 +279,15 @@ def test_class_g_rejection_lists_every_violation():
     assert len(report.violations()) > 1
 
 
+def test_elimination_oracle_names_the_component_outside_class_g():
+    # the caller passed one union, so a bad piece is a component, whatever the edge counts
+    for union in (disjoint_union(K2, K2), disjoint_union(K2, add_loops(K2, [0]))):
+        with pytest.raises(PreconditionError, match="^first component is outside class G: "):
+            elimination_oracle(union)
+    with pytest.raises(PreconditionError, match="^second component is outside class G: "):
+        elimination_oracle(disjoint_union(C5_LOOP, C5))
+
+
 def test_general_driver_rejects_disconnected_and_tiny():
     with pytest.raises(PreconditionError):
         graph_isomorphism_via_compositeness(disjoint_union(K2, K2), C4, search_oracle)
