@@ -140,10 +140,12 @@ def kronecker_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> list[int]:
     """Bitmask rows of A (x) B from the bitmask rows of A and B.
 
     Row r * b + c of A (x) B is B's row c shifted into block s, for each s in
-    A's row r; the blocks are disjoint, so the shifted rows simply add up.
+    A's row r.  Spreading A's row r to one bit at the bottom of each such block
+    and multiplying by B's row c makes every shifted copy at once; a row of B
+    fits in b bits, so the copies never overlap and the product is exact.
     """
     b = len(b_rows)
-    return [sum(rb << s * b for s in bits(ra)) for ra in a_rows for rb in b_rows]
+    return [sr * rb for sr in [sum(1 << s * b for s in bits(ra)) for ra in a_rows] for rb in b_rows]
 
 
 def verify_kronecker_identity(g1: Graph, g2: Graph) -> bool:

@@ -30,6 +30,13 @@ matrix.  Counting (:func:`two_block_survivors`) leaves the identity I2 and
 at most matrices with a loop and a cross edge, which would give the product
 only even-order components.  I2 (x) B is g1 u g2 exactly when g1 and g2 are
 both isomorphic to B, so the union is composite iff g1 and g2 are isomorphic.
+
+The three class G entry points, :func:`class_g_isomorphism`,
+:func:`union_compositeness_by_elimination` and :func:`elimination_oracle`,
+share one gate: it checks the first graph, then the second, for class G and
+says whether their node and edge counts agree.  They share one body too: the
+two elimination entry points hold the lemma's verdict in one private
+function, and :func:`class_g_isomorphism` reaches it through the oracle.
 """
 
 from __future__ import annotations
@@ -110,13 +117,21 @@ def class_g_check(g: Graph) -> ClassGReport:
     return ClassGReport(p1 and p2 and p3 and p4 and p5, p1, p2, p3, p4, p5)
 
 
-def require_class_g(g: Graph, which: str) -> None:
-    """Raise :class:`PreconditionError`, carrying the report, unless g is in class G."""
-    report = class_g_check(g)
-    if not report.member:
-        raise PreconditionError(
-            f"{which} is outside class G: {'; '.join(report.violations())}", report=report
-        )
+def _class_g_pair(g1: Graph, g2: Graph, which: str) -> bool:
+    """Whether two class G members have equal node and edge counts.
+
+    g1, then g2, is checked for class G; the first nonmember raises
+    :class:`PreconditionError`, naming it the first or second ``which`` and
+    carrying its report.
+    """
+    for g, order in ((g1, "first"), (g2, "second")):
+        report = class_g_check(g)
+        if not report.member:
+            raise PreconditionError(
+                f"{order} {which} is outside class G: {'; '.join(report.violations())}",
+                report=report,
+            )
+    return g1.node_count == g2.node_count and g1.edge_count == g2.edge_count
 
 
 def div2div3_offset(t: int) -> int:
@@ -208,11 +223,7 @@ def class_g_isomorphism(g1: Graph, g2: Graph, oracle: CompositenessOracle) -> bo
     """
     if not callable(oracle):
         raise PreconditionError("oracle must be callable")
-    require_class_g(g1, "first graph")
-    require_class_g(g2, "second graph")
-    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
-        return False
-    return bool(oracle(disjoint_union(g1, g2)))
+    return _class_g_pair(g1, g2, "graph") and bool(oracle(disjoint_union(g1, g2)))
 
 
 def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult, Graph] | None:
@@ -283,10 +294,13 @@ def union_compositeness_by_elimination(g1: Graph, g2: Graph) -> bool:
     :func:`two_block_survivors` leave the identity matrix alone, reducing
     compositeness of the union to existence of an isomorphism g1 -> g2.
     """
-    require_class_g(g1, "first graph")
-    require_class_g(g2, "second graph")
-    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
+    if not _class_g_pair(g1, g2, "graph"):
         raise PreconditionError("elimination requires equal node and edge counts")
+    return _elimination_verdict(g1, g2)
+
+
+def _elimination_verdict(g1: Graph, g2: Graph) -> bool:
+    """The lemma's verdict on g1 u g2, for class G members with equal counts."""
     survivors = two_block_survivors(g1, g2)
     if I2_MATRIX not in survivors:
         raise InternalError("the counting filters eliminated the identity left factor")
@@ -308,13 +322,10 @@ def elimination_oracle(g: Graph) -> bool:
     c2 = induced_subgraph(g, comps[1])
     if c1.node_count != c2.node_count:
         raise PreconditionError("elimination oracle needs equal-order components")
-    require_class_g(c1, "first component")
-    require_class_g(c2, "second component")
-    if c1.edge_count != c2.edge_count:
-        # Padding same-order same-size inputs with different loop counts lands
-        # here: both components are in class G but their edge counts differ.
-        # The union splits only as 2 x p (p prime), I2 would force isomorphic
-        # components (equal edge counts), and every other admissible left
-        # factor forces even-order components; so the union is prime.
-        return False
-    return union_compositeness_by_elimination(c1, c2)
+    # Unequal edge counts answer False.  Padding same-order same-size inputs
+    # with different loop counts lands there: both components are in class G
+    # but their edge counts differ.  The union splits only as 2 x p (p prime),
+    # I2 would force isomorphic components (equal edge counts), and every
+    # other admissible left factor forces even-order components; so the union
+    # is prime.
+    return _class_g_pair(c1, c2, "component") and _elimination_verdict(c1, c2)

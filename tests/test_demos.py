@@ -1,12 +1,17 @@
-"""The narrative walkthrough scripts all run to completion."""
+"""The narrative walkthrough scripts and the README's python blocks all run to completion."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M
+)
 
 
 def test_demo_scripts_exist():
@@ -20,3 +25,10 @@ def test_demo_runs_clean(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_python_blocks_run():
+    # the blocks state their results as asserts
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        exec(compile(block, "README.md", "exec"), {})

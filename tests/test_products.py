@@ -123,9 +123,9 @@ def test_direct_adjacency_equals_kronecker_examples():
 
 def test_direct_adjacency_equals_kronecker_random():
     rng = random.Random(9)
-    for _ in range(60):
-        g1 = random_graph(rng.randint(1, 5), rng)
-        g2 = random_graph(rng.randint(1, 5), rng)
+    for _ in range(400):
+        g1 = random_graph(rng.randint(1, 7), rng)
+        g2 = random_graph(rng.randint(1, 7), rng)
         assert verify_kronecker_identity(g1, g2)
 
 

@@ -22,6 +22,7 @@ from graphprod import (
     prime_in_bertrand_range,
     search_oracle,
     elimination_oracle,
+    union_compositeness_by_elimination,
 )
 from graphprod.catalog import (
     C3,
@@ -36,6 +37,7 @@ from graphprod.catalog import (
     add_loops,
     path_graph,
 )
+from graphprod import reduction
 from graphprod.reduction import is_prime_int
 
 from helpers import (
@@ -277,6 +279,22 @@ def test_class_g_rejection_lists_every_violation():
     assert not report.member
     assert str(info.value) == "second graph is outside class G: " + "; ".join(report.violations())
     assert len(report.violations()) > 1
+
+
+def test_class_g_entry_points_check_each_graph_once(monkeypatch):
+    calls = []
+    check = reduction.class_g_check
+    monkeypatch.setattr(reduction, "class_g_check", lambda g: calls.append(g) or check(g))
+    perm = NAMED["c5_loop_perm"]
+    runs = {
+        "elimination_oracle": lambda: elimination_oracle(disjoint_union(C5_LOOP, perm)),
+        "union_compositeness_by_elimination": lambda: union_compositeness_by_elimination(C5_LOOP, perm),
+        "class_g_isomorphism": lambda: class_g_isomorphism(C5_LOOP, perm, search_oracle),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        assert run(), name
+        assert len(calls) == 2, name
 
 
 def test_elimination_oracle_names_the_component_outside_class_g():
