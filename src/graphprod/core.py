@@ -19,7 +19,13 @@ recomputing it.
 Per-graph data is computed once and cached on the graph: adjacency rows as
 bitmasks (``Graph.adjacency_masks``), the one adjacency view, and one pass of
 :func:`breadth_first` over them (``Graph.traversal``), for connectivity,
-components and bipartiteness.
+components and bipartiteness.  Two builders, :func:`disjoint_union` and
+:func:`~graphprod.reduction.pad_to_class_g`, make graphs from edges that are
+already valid and skip the constructor's re-validation.  The union also
+inherits whichever of these views both operands hold: its rows are the
+operands' rows side by side, and its traversal is theirs joined, which is
+exactly :func:`breadth_first` of the union, since every component of the
+first operand has a smaller least node than any component of the second.
 
 Every algorithm runs on these plain Python views.  numpy is an optional
 extra (``pip install "graphprod[arrays]"``), imported only by the array
@@ -34,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -114,6 +119,10 @@ class Graph:
     construction, which also counts ``loop_count``, s, the number of
     self-loops.  Two views are computed on first use and cached on the
     instance: ``adjacency_masks`` and the ``traversal`` built from it.
+
+    :func:`disjoint_union` and :func:`~graphprod.reduction.pad_to_class_g`
+    build through the private :meth:`_derived` instead, which skips this
+    validation: their edges come from graphs already validated.
     """
 
     node_count: int
@@ -141,6 +150,20 @@ class Graph:
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "loop_count", loops)
+
+    @classmethod
+    def _derived(cls, n: int, edges: frozenset[Edge], loop_count: int, **views) -> Graph:
+        """A graph built from valid data without :meth:`__post_init__`.
+
+        The caller guarantees what ``__post_init__`` would check: ``n`` is a
+        nonnegative int, ``edges`` a frozenset of ``(min, max)`` int pairs
+        within ``0..n-1``, and ``loop_count`` exactly the number of self-loops
+        among them.  ``views`` seeds cached views (``adjacency_masks``,
+        ``traversal``), each equal to what the view would compute.
+        """
+        g = object.__new__(cls)
+        vars(g).update(node_count=n, edges=edges, loop_count=loop_count, **views)
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -194,10 +217,33 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; nodes of ``g2`` are shifted up by ``g1.node_count``."""
+    """Disjoint union; nodes of ``g2`` are shifted up by ``g1.node_count``.
+
+    Both operands must be :class:`Graph` instances: their edges are valid,
+    so the union is built without re-validating them.  A view that both
+    operands have cached is inherited rather than recomputed: the union's
+    ``adjacency_masks`` are g1's rows then g2's shifted by n1, and its
+    ``traversal`` is g1's followed by g2's shifted, which is what
+    :func:`breadth_first` gives, as it meets every component of g1 (least
+    node below n1) before any of g2.  A view not cached on both is left
+    to be computed on first use.
+    """
+    if not (isinstance(g1, Graph) and isinstance(g2, Graph)):
+        raise PreconditionError("disjoint_union operands must be Graphs")
     n1 = g1.node_count
-    shifted = ((u + n1, v + n1) for u, v in g2.edges)
-    return Graph(n1 + g2.node_count, chain(g1.edges, shifted))
+    edges = g1.edges.union([(u + n1, v + n1) for u, v in g2.edges])
+    cached1, cached2, views = vars(g1), vars(g2), {}
+    if "adjacency_masks" in cached1 and "adjacency_masks" in cached2:
+        shifted = tuple(row << n1 for row in g2.adjacency_masks)
+        views["adjacency_masks"] = g1.adjacency_masks + shifted
+    if "traversal" in cached1 and "traversal" in cached2:
+        (order1, starts1, coloring1), (order2, starts2, coloring2) = g1.traversal, g2.traversal
+        views["traversal"] = Traversal(
+            order1 + tuple(v + n1 for v in order2),
+            starts1 + tuple(i + n1 for i in starts2),  # len(order1) == n1
+            None if coloring1 is None or coloring2 is None else coloring1 + coloring2,
+        )
+    return Graph._derived(n1 + g2.node_count, edges, g1.loop_count + g2.loop_count, **views)
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -42,7 +42,7 @@ function, and :func:`class_g_isomorphism` reaches it through the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Callable
 
 from .core import (
@@ -177,6 +177,10 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
     The smallest admissible prime is chosen; a prime is skipped only in the
     one corner (n = 2, p = 5, d = 3) where the loop nodes would not all
     exist, in which case p = 7 restores the construction.
+
+    The padded graph is built without re-validating its edges: ``g``'s are
+    valid, and the new ones are ``(min, max)`` pairs on nodes below p that
+    add exactly d self-loops.  The result is still checked for class G.
     """
     n = g.node_count
     if n < 2:
@@ -193,7 +197,7 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
     fan = tuple((x, n) for x in range(n))
     cycle = tuple((n + i, n + i + 1) for i in range(p - n - 1)) + ((n, p - 1),)
     loops = tuple((n + i, n + i) for i in range(1, d + 1))
-    padded = Graph(p, chain(g.edges, fan, cycle, loops))
+    padded = Graph._derived(p, g.edges.union(fan, cycle, loops), g.loop_count + d)
     result = PaddingResult(padded, p, fan, cycle, d)
     report = class_g_check(padded)
     if not report.member:

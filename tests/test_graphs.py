@@ -1,6 +1,7 @@
 """Core graph type, counting conventions, predicates, and edge-list I/O."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,6 +175,69 @@ def test_disjoint_union_associative_and_additive(g1, g2, g3):
     assert left == right  # index shifts compose, so equality is exact
     assert left.edge_count == g1.edge_count + g2.edge_count + g3.edge_count
     assert left.loop_count == g1.loop_count + g2.loop_count + g3.loop_count
+
+
+def test_disjoint_union_rejects_operands_that_are_not_graphs():
+    # the union trusts its operands' edges, so it takes nothing but Graphs:
+    # an edge (0, 5) on 2 nodes must not slip into a Graph through it
+    duck = SimpleNamespace(node_count=2, edges=[(0, 5)])
+    for g1, g2 in ((K2, (2, [(0, 1)])), ((2, [(0, 1)]), K2), (K2, duck), (duck, K2)):
+        with pytest.raises(PreconditionError, match="^disjoint_union operands must be Graphs$"):
+            disjoint_union(g1, g2)
+
+
+VIEWS = ("adjacency_masks", "traversal")
+
+
+def _union_operands(rng):
+    """Operand pairs: empty, single-node, isolated nodes, loops, several components."""
+    pieces = [Graph(0), Graph(1), add_loops(Graph(1), [0]), Graph(4, [(1, 2)]), K2, C4, C5]
+    pieces += [add_loops(C4, [2]), disjoint_union(C3, K2), disjoint_union(K2, C4)]
+    pieces += [random_bipartite_connected(rng.randint(2, 7), rng) for _ in range(6)]
+    pieces += [random_graph(rng.randint(1, 8), rng, edge_p=0.3, loop_p=0.2) for _ in range(10)]
+    pieces += list(_multi_component_graphs(rng, count=6, max_nodes=10))
+    # every ordered pair, so bipartite meets bipartite and nonbipartite in both orders
+    return [(g1, g2) for g1 in pieces for g2 in pieces]
+
+
+def _with_views(g, views):
+    """A fresh copy of ``g`` with just ``views`` computed and cached."""
+    copy = Graph(g.node_count, g.edges)
+    for name in views:
+        getattr(copy, name)
+    return copy
+
+
+def test_disjoint_union_equals_the_validated_union_and_inherits_exact_views():
+    rng = random.Random(29)
+    kinds = ((), ("adjacency_masks",), VIEWS)
+    checked = inherited = 0
+    for i, (g1, g2) in enumerate(_union_operands(rng)):
+        n1 = g1.node_count
+        expected = Graph(n1 + g2.node_count, [*g1.edges, *((u + n1, v + n1) for u, v in g2.edges)])
+        views1, views2 = kinds[i % 3], kinds[i // 3 % 3]  # all nine pairings in turn
+        union = disjoint_union(_with_views(g1, views1), _with_views(g2, views2))
+        assert type(union.node_count) is int and type(union.edges) is frozenset
+        assert union.node_count == expected.node_count
+        assert union.edges == expected.edges
+        assert union.loop_count == expected.loop_count
+        assert hash(union) == hash(expected) and union == expected
+        # a view is seeded exactly when both operands hold it, and never computed here
+        seeded = [name for name in VIEWS if name in vars(union)]
+        assert seeded == [name for name in VIEWS if name in views1 and name in views2]
+        if "adjacency_masks" in seeded:
+            assert union.adjacency_masks == expected.adjacency_masks
+        if "traversal" in seeded:
+            assert union.traversal == breadth_first(expected.adjacency_masks)
+            # a union of unions inherits the same way
+            again = disjoint_union(union, _with_views(g1, VIEWS))
+            fresh = Graph(again.node_count, again.edges)
+            assert again.adjacency_masks == fresh.adjacency_masks
+            assert again.traversal == breadth_first(fresh.adjacency_masks)
+            inherited += 1
+        assert union.traversal == breadth_first(expected.adjacency_masks)
+        checked += 1
+    assert checked == 32 * 32 and inherited > 100
 
 
 def test_is_connected_examples():

@@ -203,6 +203,24 @@ def test_pad_random_connected_graphs():
         assert g.edges <= result.padded.edges
 
 
+def test_padded_graph_equals_the_validated_one():
+    # the corpus of test_pad_random_connected_graphs
+    rng = random.Random(53)
+    for _ in range(120):
+        g = random_connected_graph(rng.randint(2, 6), rng)
+        result = pad_to_class_g(g)
+        padded = result.padded
+        loops = [(v, v) for v in result.loop_nodes]
+        expected = Graph(result.chosen_prime, [*g.edges, *result.fan_edges, *result.cycle_edges, *loops])
+        assert type(padded.node_count) is int and type(padded.edges) is frozenset
+        assert padded.node_count == expected.node_count
+        assert padded.edges == expected.edges
+        assert padded.loop_count == expected.loop_count
+        assert hash(padded) == hash(expected) and padded == expected
+        assert padded.adjacency_masks == expected.adjacency_masks
+        assert padded.traversal == expected.traversal
+
+
 def test_pad_is_deterministic_byte_for_byte():
     rng = random.Random(59)
     for _ in range(20):
@@ -386,20 +404,44 @@ def test_general_driver_on_long_paths_does_not_recurse():
     assert graph_isomorphism_via_compositeness(p300, p300, search_oracle) is True
 
 
+def _warm_pipeline(*graphs):
+    """Run the pipeline once on fresh copies, so that tables the search builds
+    on first use (the left-factor catalog) are built before a count starts."""
+    copies = [Graph(g.node_count, g.edges) for g in graphs]
+    graph_isomorphism_via_compositeness(*copies, search_oracle)
+
+
 def test_each_graph_is_traversed_once(monkeypatch):
     from graphprod import core
 
-    seen = []
-    traverse = core.breadth_first
-    monkeypatch.setattr(core, "breadth_first", lambda masks: seen.append(masks) or traverse(masks))
     # fresh graphs, so no traversal is cached yet; equal counts reach the oracle
     g1 = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 3)}))
     g2 = Graph(4, frozenset({(0, 0), (0, 1), (1, 2), (2, 3)}))
+    _warm_pipeline(g1, g2)
+    seen = []
+    traverse = core.breadth_first
+    monkeypatch.setattr(core, "breadth_first", lambda masks: seen.append(masks) or traverse(masks))
     assert graph_isomorphism_via_compositeness(g1, g2, search_oracle)
     traversed = seen[:]
     pad1, pad2 = pad_to_class_g(g1).padded, pad_to_class_g(g2).padded
-    union = disjoint_union(pad1, pad2)
-    assert traversed == [g.adjacency_masks for g in (g1, g2, pad1, pad2, union)]
+    # the union inherits both pads' traversals instead of running its own
+    assert traversed == [g.adjacency_masks for g in (g1, g2, pad1, pad2)]
+
+
+def test_the_pipeline_validates_only_the_graphs_the_search_builds(monkeypatch):
+    # the pads and their union are built from valid edges without re-validation;
+    # a YES verdict validates one graph, the witness's right factor B
+    yes = (Graph(4, [(0, 1), (1, 2), (2, 3), (3, 3)]), Graph(4, [(0, 0), (0, 1), (1, 2), (2, 3)]))
+    no = (Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (0, 2), (0, 3)]))  # P4, K1,3
+    b = pad_to_class_g(Graph(4, yes[0].edges)).chosen_prime  # on a copy: yes stays fresh
+    _warm_pipeline(*yes)
+    built = []
+    init = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(self) or init(self))
+    for (g1, g2), verdict, validated in ((yes, True, [b]), (no, False, [])):
+        built.clear()
+        assert graph_isomorphism_via_compositeness(g1, g2, search_oracle) is verdict
+        assert [h.node_count for h in built] == validated
 
 
 def test_the_elimination_lemma_lives_in_reduction():
