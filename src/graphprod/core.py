@@ -16,10 +16,12 @@ Every counting argument in :mod:`graphprod.factorization` and
 ``Graph.nonzero_count`` is its one implementation; read that rather than
 recomputing it.
 
-Per-graph data is computed once and cached on the graph: adjacency rows as
-bitmasks (``Graph.adjacency_masks``), the one adjacency view, and one pass of
-:func:`breadth_first` over them (``Graph.traversal``), for connectivity,
-components and bipartiteness.  Two builders, :func:`disjoint_union` and
+Per-graph data is computed once and cached on the graph, for as long as the
+graph lives: adjacency rows as bitmasks (``Graph.adjacency_masks``), the one
+adjacency view; one pass of :func:`breadth_first` over them
+(``Graph.traversal``), for connectivity, components and bipartiteness; and
+the graph's :func:`~graphprod.reduction.pad_to_class_g` result, once it has
+been padded.  Two builders, :func:`disjoint_union` and
 :func:`~graphprod.reduction.pad_to_class_g`, make graphs from edges that are
 already valid and skip the constructor's re-validation.  The union also
 inherits whichever of these views both operands hold: its rows are the
@@ -119,6 +121,8 @@ class Graph:
     construction, which also counts ``loop_count``, s, the number of
     self-loops.  Two views are computed on first use and cached on the
     instance: ``adjacency_masks`` and the ``traversal`` built from it.
+    :func:`~graphprod.reduction.pad_to_class_g` keeps its result on the
+    instance too, in a private slot.  All three live as long as the graph.
 
     :func:`disjoint_union` and :func:`~graphprod.reduction.pad_to_class_g`
     build through the private :meth:`_derived` instead, which skips this
@@ -216,6 +220,18 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     return Graph(n, ((mapping[u], mapping[v]) for u, v in g.edges))
 
 
+def require_graphs(caller: str, *graphs) -> None:
+    """Raise :class:`PreconditionError` unless every one of ``graphs`` is a :class:`Graph`.
+
+    Entry points call this before reading any attribute, so that a tuple or
+    a duck-typed object never reaches a builder that trusts a graph's edges
+    or a cache written on the instance.
+    """
+    for g in graphs:  # a loop, not all(): pad_pair runs this on every count-filter answer
+        if not isinstance(g, Graph):
+            raise PreconditionError(f"{caller} operands must be Graphs")
+
+
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; nodes of ``g2`` are shifted up by ``g1.node_count``.
 
@@ -228,8 +244,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     node below n1) before any of g2.  A view not cached on both is left
     to be computed on first use.
     """
-    if not (isinstance(g1, Graph) and isinstance(g2, Graph)):
-        raise PreconditionError("disjoint_union operands must be Graphs")
+    require_graphs("disjoint_union", g1, g2)
     n1 = g1.node_count
     edges = g1.edges.union([(u + n1, v + n1) for u, v in g2.edges])
     cached1, cached2, views = vars(g1), vars(g2), {}

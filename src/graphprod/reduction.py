@@ -16,7 +16,10 @@ fan every original node out to one new hub node, run a single cycle through
 all p - n new nodes (longer than any simple cycle the original graph can
 hold), then add up to three self-loops on the early cycle nodes to fix the
 2m - s residues.  The construction is deterministic, so equal inputs give
-byte-equal results.
+byte-equal results.  Each graph instance is padded and self-checked once:
+the result is kept on the graph, and repeated calls return that same
+:class:`PaddingResult`, so a sweep that pairs the same graphs many times
+pads each of them once.
 
 The drivers decide isomorphism with a single call to a compositeness
 oracle, a callable taking the disjoint union and returning True iff it is
@@ -57,6 +60,7 @@ from .core import (
     induced_subgraph,
     is_bipartite,
     is_connected,
+    require_graphs,
 )
 from .factorization import I2_MATRIX, K2_MATRIX
 from .isomorphism import are_isomorphic
@@ -107,6 +111,7 @@ def is_prime_int(x: int) -> bool:
 
 def class_g_check(g: Graph) -> ClassGReport:
     """Evaluate the five class G properties for any graph."""
+    require_graphs("class_g_check", g)
     n = g.node_count
     t = g.nonzero_count
     p1 = n > 0 and is_connected(g) and not is_bipartite(g)
@@ -181,7 +186,16 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
     The padded graph is built without re-validating its edges: ``g``'s are
     valid, and the new ones are ``(min, max)`` pairs on nodes below p that
     add exactly d self-loops.  The result is still checked for class G.
+
+    Each graph instance is padded and self-checked once: the result is kept
+    on ``g``, beside its cached views, only after both checks pass, and
+    later calls on that instance return that same :class:`PaddingResult`.
+    A failed padding is not kept, so it raises again on every call.
     """
+    require_graphs("pad_to_class_g", g)
+    cached = vars(g).get("_padding")
+    if cached is not None:
+        return cached
     n = g.node_count
     if n < 2:
         raise PreconditionError("padding needs at least 2 nodes")
@@ -204,6 +218,7 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
         raise InternalError(f"padding left class G: {'; '.join(report.violations())}")
     if p - n <= n:
         raise InternalError("the padding cycle is not longer than the input graph")
+    vars(g)["_padding"] = result
     return result
 
 
@@ -237,6 +252,7 @@ def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult, Graph]
     or edge counts differ are not isomorphic and are not padded.  The union
     is the disjoint union of the padded graphs, the graph the oracle is asked about.
     """
+    require_graphs("pad_pair", g1, g2)
     for g, which in ((g1, "first"), (g2, "second")):
         if g.node_count < 2:
             raise PreconditionError(f"{which} graph needs at least 2 nodes")
@@ -319,6 +335,7 @@ def _elimination_verdict(g1: Graph, g2: Graph) -> bool:
 
 def elimination_oracle(g: Graph) -> bool:
     """Compositeness of a two-component union via the elimination argument."""
+    require_graphs("elimination_oracle", g)
     comps = connected_components(g)
     if len(comps) != 2:
         raise PreconditionError("elimination oracle needs exactly two components")

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphprod import (
     Graph,
+    InternalError,
     PreconditionError,
     are_isomorphic,
     class_g_check,
@@ -226,8 +228,45 @@ def test_pad_is_deterministic_byte_for_byte():
     for _ in range(20):
         g = random_connected_graph(rng.randint(2, 6), rng)
         first = json.dumps(padding_result_to_json(pad_to_class_g(g)), sort_keys=True)
-        second = json.dumps(padding_result_to_json(pad_to_class_g(g)), sort_keys=True)
+        # a fresh copy, as g keeps its padding and would hand back the same object
+        copy = Graph(g.node_count, g.edges)
+        second = json.dumps(padding_result_to_json(pad_to_class_g(copy)), sort_keys=True)
         assert first == second
+
+
+def test_pad_keeps_its_result_on_the_graph():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 3)])
+    result = pad_to_class_g(g)
+    assert pad_to_class_g(g) is result
+    # an equal graph is another instance: padded anew, to the same bytes and views
+    copy = Graph(g.node_count, g.edges)
+    again = pad_to_class_g(copy)
+    assert again is not result and pad_to_class_g(copy) is again
+    assert padding_result_to_json(again) == padding_result_to_json(result)
+    assert again.padded.adjacency_masks == result.padded.adjacency_masks
+    assert again.padded.traversal == result.padded.traversal
+
+
+def _kept_paddings(g):
+    return [v for v in vars(g).values() if isinstance(v, reduction.PaddingResult)]
+
+
+def test_pad_rejections_and_failed_self_checks_are_not_kept(monkeypatch):
+    for g in (Graph(1), Graph(1, [(0, 0)]), Graph(4, [(0, 1), (2, 3)])):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                pad_to_class_g(g)
+        assert _kept_paddings(g) == []
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    with monkeypatch.context() as patch:
+        outside = reduction.ClassGReport(False, *[True] * 5)
+        patch.setattr(reduction, "class_g_check", lambda h: outside)
+        for _ in range(2):
+            with pytest.raises(InternalError, match="^padding left class G"):
+                pad_to_class_g(g)
+        assert _kept_paddings(g) == []
+    result = pad_to_class_g(g)
+    assert _kept_paddings(g) == [result]
 
 
 def test_pad_rejects_bad_inputs():
@@ -313,6 +352,43 @@ def test_class_g_entry_points_check_each_graph_once(monkeypatch):
         calls.clear()
         assert run(), name
         assert len(calls) == 2, name
+
+
+def test_a_sweep_checks_each_padded_graph_once(monkeypatch):
+    # all ordered pairs of 12 fresh graphs, each paired with itself too, so all reach padding
+    rng = random.Random(73)
+    graphs = [random_connected_graph(rng.randint(2, 4), rng) for _ in range(6)]
+    graphs += [random_relabeling(g, rng) for g in graphs]
+    calls = []
+    check = reduction.class_g_check
+    monkeypatch.setattr(reduction, "class_g_check", lambda g: calls.append(g) or check(g))
+    for g1 in graphs:
+        for g2 in graphs:
+            graph_isomorphism_via_compositeness(g1, g2, search_oracle)
+    # one check per input graph, on its padding; every later pad of it is the kept result
+    assert len(calls) == len(graphs)
+    assert {id(h) for h in calls} == {id(pad_to_class_g(g).padded) for g in graphs}
+
+
+NOT_GRAPHS = (None, (3, [(0, 1), (1, 2), (0, 2)]), SimpleNamespace(node_count=3, edges=[(0, 5)]))
+
+
+@pytest.mark.parametrize("bad", NOT_GRAPHS, ids=["None", "tuple", "duck"])
+def test_entry_points_take_graphs_only(bad):
+    # each entry point raises from the first check its operands meet
+    runs = [
+        ("class_g_check", lambda: class_g_check(bad)),
+        ("pad_to_class_g", lambda: pad_to_class_g(bad)),
+        ("pad_pair", lambda: reduction.pad_pair(bad, C3)),
+        ("pad_pair", lambda: graph_isomorphism_via_compositeness(C3, bad, search_oracle)),
+        ("class_g_check", lambda: class_g_isomorphism(bad, C5_LOOP, search_oracle)),
+        ("class_g_check", lambda: union_compositeness_by_elimination(C5_LOOP, bad)),
+        ("elimination_oracle", lambda: elimination_oracle(bad)),
+    ]
+    for checker, run in runs:
+        with pytest.raises(PreconditionError, match=f"^{checker} operands must be Graphs$"):
+            run()
+    assert not isinstance(bad, SimpleNamespace) or set(vars(bad)) == {"node_count", "edges"}
 
 
 def test_elimination_oracle_names_the_component_outside_class_g():
