@@ -39,6 +39,7 @@ it compares bitmask rows.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -406,37 +407,37 @@ def graph_from_adjacency(mat: np.ndarray) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; raises :class:`EdgeListParseError` on bad input.
 
-    A header announcing more than :data:`MAX_HEADER_NODES` nodes raises
-    :class:`SizeLimitError` before anything is sized by n.
+    The first content line is the header; the rest are read as edges of the
+    ``n`` nodes it announces.  A header announcing more than
+    :data:`MAX_HEADER_NODES` nodes raises :class:`SizeLimitError` before
+    anything is sized by n.
     """
     if not isinstance(text, str):
         raise EdgeListParseError("edge-list text must be a str", 0)
-    header: tuple[int, int] | None = None
+    content = (
+        (lineno, line.split())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    lineno, parts = next(content, (1, None))
+    if parts is None:
+        raise EdgeListParseError("missing 'n m' header", lineno)
+    if len(parts) != 2:
+        raise EdgeListParseError("header must be 'n m'", lineno)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EdgeListParseError("header must hold two integers", lineno) from None
+    if n < 0 or m < 0:
+        raise EdgeListParseError("counts must be nonnegative", lineno)
+    if n > MAX_HEADER_NODES:
+        raise SizeLimitError(
+            f"line {lineno}: header announces {n} nodes, above the "
+            f"{MAX_HEADER_NODES}-node ceiling"
+        )
     edges: set[Edge] = set()
-    expected = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise EdgeListParseError("header must be 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError("header must hold two integers", lineno) from None
-            if n < 0 or m < 0:
-                raise EdgeListParseError("counts must be nonnegative", lineno)
-            if n > MAX_HEADER_NODES:
-                raise SizeLimitError(
-                    f"line {lineno}: header announces {n} nodes, above the "
-                    f"{MAX_HEADER_NODES}-node ceiling"
-                )
-            header = (n, m)
-            expected = m
-            continue
-        if len(edges) == expected:
+    for lineno, parts in content:
+        if len(edges) == m:
             raise EdgeListParseError("more edge lines than the header announced", lineno)
         if len(parts) != 2:
             raise EdgeListParseError("edge line must be 'u v'", lineno)
@@ -444,20 +445,15 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError("edge endpoints must be integers", lineno) from None
-        n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"endpoint out of range 0..{n - 1}", lineno)
         edge = (u, v) if u <= v else (v, u)
         if edge in edges:
             raise EdgeListParseError(f"duplicate edge {edge}", lineno)
         edges.add(edge)
-    if header is None:
-        raise EdgeListParseError("missing 'n m' header", 1)
-    if len(edges) != expected:
-        raise EdgeListParseError(
-            f"header announced {expected} edges, found {len(edges)}", 1
-        )
-    return Graph(header[0], edges)
+    if len(edges) != m:
+        raise EdgeListParseError(f"header announced {m} edges, found {len(edges)}", 1)
+    return Graph(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -467,11 +463,25 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_path(path) -> None:
+    """Raise :class:`PreconditionError` unless ``path`` is a str, bytes or ``os.PathLike``.
+
+    ``open`` takes an int (a bool included) as a file descriptor, and closes
+    it afterwards: ``write_edge_list(g, 1)`` would write to stdout and close it.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        kind = type(path).__name__
+        raise PreconditionError(f"path must be a str, bytes or os.PathLike, not {kind}")
+
+
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file; bytes that are not UTF-8 raise :class:`EdgeListParseError`.
 
     One leading UTF-8 byte-order mark, as some editors write, is ignored.
+    A ``path`` that is not a str, bytes or ``os.PathLike`` raises
+    :class:`PreconditionError`.
     """
+    _require_path(path)
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -485,5 +495,7 @@ def read_edge_list(path) -> Graph:
 
 
 def write_edge_list(g: Graph, path) -> None:
+    """Write ``format_edge_list(g)`` to ``path``, a str, bytes or ``os.PathLike``."""
+    _require_path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_edge_list(g))

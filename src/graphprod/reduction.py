@@ -49,10 +49,12 @@ from itertools import product
 from typing import Callable
 
 from .core import (
+    MAX_HEADER_NODES,
     Edge,
     Graph,
     InternalError,
     PreconditionError,
+    SizeLimitError,
     as_int,
     connected_components,
     disjoint_union,
@@ -146,10 +148,17 @@ def div2div3_offset(t: int) -> int:
 
 
 def prime_in_bertrand_range(n: int) -> int:
-    """Smallest prime p with 2n < p < 4n (exists for every n >= 2)."""
+    """Smallest prime p with 2n < p < 4n (exists for every n >= 2).
+
+    The search is trial division, so n above :data:`~graphprod.core.MAX_HEADER_NODES`,
+    more nodes than any edge-list header may announce, raises
+    :class:`~graphprod.core.SizeLimitError`.
+    """
     n = as_int(n, "n must be an integer")
     if n < 2:
         raise PreconditionError("need n >= 2")
+    if n > MAX_HEADER_NODES:
+        raise SizeLimitError(f"n = {n} exceeds the {MAX_HEADER_NODES}-node ceiling")
     for p in range(2 * n + 1, 4 * n):
         if is_prime_int(p):
             return p

@@ -1,6 +1,10 @@
 """Core graph type, counting conventions, predicates, and edge-list I/O."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +30,7 @@ from graphprod import (
     products,
     read_edge_list,
     relabel,
+    write_edge_list,
 )
 from graphprod.core import MAX_HEADER_NODES, breadth_first
 from graphprod.catalog import (
@@ -411,6 +416,7 @@ def test_format_is_canonical():
 def test_parse_accepts_comments_and_blank_lines():
     text = "# a triangle\n\n3 3\n0 1\n# middle comment\n1 2\n\n0 2\n\n"
     assert parse_edge_list(text) == C3
+    assert parse_edge_list("# h\n3 0\n") == Graph(3, [])
 
 
 @given(small_graphs())
@@ -435,6 +441,11 @@ def test_edge_list_round_trip(g):
         ("2 2\n0 1\n1 0\n", 3),  # duplicate of the same unordered edge
         ("2 2\n0 1\n", 1),  # header promises more edges than given
         ("2 0\n0 1\n", 2),  # more edges than promised
+        ("# c\n\nx y\n", 3),  # a bad header after comments reports its own line
+        ("  \n\t\n", 1),  # only blank lines: missing header
+        ("# only\n", 1),  # only a comment: missing header
+        ("2 1\n0 1\nfoo bar baz\n", 3),  # too many edges fires before the parse
+        ("2 1\n# x\n\n0 1\n0 1\n", 5),  # ... and before the duplicate check
         (b"2 1\n0 1\n", 0),  # not text: no line to point at
         (None, 0),
     ],
@@ -443,6 +454,12 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list(text)
     assert err.value.line == line
+
+
+def test_parse_checks_the_edge_count_before_the_extra_line():
+    for text in ("2 1\n0 1\nfoo bar baz\n", "2 1\n# x\n\n0 1\n0 1\n"):
+        with pytest.raises(EdgeListParseError, match="more edge lines than the header announced"):
+            parse_edge_list(text)
 
 
 def test_parse_rejects_a_header_above_the_node_ceiling():
@@ -468,6 +485,53 @@ def test_read_rejects_bytes_that_are_not_utf8(tmp_path):
     good = tmp_path / "good.el"
     good.write_bytes("3 1\n# café\r\n0 1\n".encode())
     assert read_edge_list(good) == Graph(3, frozenset({(0, 1)}))
+
+
+def test_edge_list_files_take_paths_only(tmp_path):
+    # 10**6 names no open descriptor, so even an unchecked open() fails harmlessly
+    for path in (2.5, None, 10**6):
+        with pytest.raises(PreconditionError, match="^path must be a str, bytes or os.PathLike"):
+            read_edge_list(path)
+        with pytest.raises(PreconditionError, match="^path must be a str, bytes or os.PathLike"):
+            write_edge_list(C3, path)
+    for path in (str(tmp_path / "s.el"), os.fsencode(tmp_path / "b.el"), tmp_path / "p.el"):
+        write_edge_list(C3, path)
+        assert read_edge_list(path) == C3
+
+
+_DESCRIPTOR_PATHS = textwrap.dedent(
+    """
+    from graphprod import PreconditionError, read_edge_list, write_edge_list
+    from graphprod.catalog import C3
+    caught = 0
+    for path in (True, 1, 0):
+        for call in (read_edge_list, lambda p: write_edge_list(C3, p)):
+            try:
+                call(path)
+            except PreconditionError:
+                caught += 1
+    print(caught)
+    """
+)
+
+
+def test_edge_list_files_take_no_descriptors():
+    # open() takes an int or a bool as a descriptor and closes it afterwards,
+    # so a regression here would close the test runner's own streams: run it
+    # in a child, whose stdout must survive to report all six rejections.
+    import graphprod
+
+    src = os.path.dirname(os.path.dirname(graphprod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DESCRIPTOR_PATHS],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "6\n"), proc.stderr
 
 
 def test_read_ignores_one_leading_byte_order_mark(tmp_path):

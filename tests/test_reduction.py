@@ -13,6 +13,7 @@ from graphprod import (
     Graph,
     InternalError,
     PreconditionError,
+    SizeLimitError,
     are_isomorphic,
     class_g_check,
     class_g_isomorphism,
@@ -40,6 +41,7 @@ from graphprod.catalog import (
     path_graph,
 )
 from graphprod import reduction
+from graphprod.core import MAX_HEADER_NODES
 from graphprod.reduction import is_prime_int
 
 from helpers import (
@@ -150,6 +152,15 @@ def test_prime_strictly_inside_interval_up_to_100000():
 def test_prime_rejects_small_n():
     with pytest.raises(PreconditionError, match="^need n >= 2$"):
         prime_in_bertrand_range(1)
+
+
+def test_prime_is_bounded_by_the_header_ceiling():
+    # the ceiling first: without the bound, the next call answers instead of
+    # raising, and the test fails before it reaches the n that would hang
+    assert prime_in_bertrand_range(MAX_HEADER_NODES) == 2097169
+    for n in (MAX_HEADER_NODES + 1, 10**30):
+        with pytest.raises(SizeLimitError, match="ceiling"):
+            prime_in_bertrand_range(n)
 
 
 # -- padding -------------------------------------------------------------------
