@@ -213,15 +213,14 @@ def _cmd_iso(args) -> tuple[dict, list[str]]:
 def _cmd_classg(args) -> tuple[dict, list[str]]:
     g = read_edge_list(args.file)
     report = reduction.class_g_check(g)
-    flags = {field: getattr(report, field) for field, _, _ in reduction.CLASS_G_PROPERTIES}
+    outcome: dict = report._asdict()
     human = [
         f"nodes={g.node_count} edges={g.edge_count} loops={g.loop_count} "
         f"nonzeros={g.nonzero_count}",
-        *(f"{label + ':':31}{'yes' if flags[p] else 'no'}"
+        *(f"{label + ':':31}{'yes' if outcome[p] else 'no'}"
           for p, label, _ in reduction.CLASS_G_PROPERTIES),
         f"member: {'yes' if report.member else 'no'}",
     ]
-    outcome: dict = {"member": report.member, **flags}
     if args.pad or args.out:
         result = reduction.pad_to_class_g(g)
         pad_json = reduction.padding_result_to_json(result)

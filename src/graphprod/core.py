@@ -464,22 +464,25 @@ def format_edge_list(g: Graph) -> str:
 
 
 def _require_path(path) -> None:
-    """Raise :class:`PreconditionError` unless ``path`` is a str, bytes or ``os.PathLike``.
+    """Raise :class:`PreconditionError` unless ``path`` is a NUL-free str, bytes or ``os.PathLike``.
 
     ``open`` takes an int (a bool included) as a file descriptor, and closes
     it afterwards: ``write_edge_list(g, 1)`` would write to stdout and close it.
+    A NUL in the path would end in ``open``'s own ``ValueError``.
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
         kind = type(path).__name__
         raise PreconditionError(f"path must be a str, bytes or os.PathLike, not {kind}")
+    if "\0" in os.fsdecode(path):
+        raise PreconditionError("path must not contain a NUL")
 
 
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file; bytes that are not UTF-8 raise :class:`EdgeListParseError`.
 
     One leading UTF-8 byte-order mark, as some editors write, is ignored.
-    A ``path`` that is not a str, bytes or ``os.PathLike`` raises
-    :class:`PreconditionError`.
+    A ``path`` that is not a str, bytes or ``os.PathLike``, or that holds a
+    NUL, raises :class:`PreconditionError`.
     """
     _require_path(path)
     with open(path, "rb") as fh:
@@ -495,7 +498,7 @@ def read_edge_list(path) -> Graph:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    """Write ``format_edge_list(g)`` to ``path``, a str, bytes or ``os.PathLike``."""
+    """Write ``format_edge_list(g)`` to ``path``, a NUL-free str, bytes or ``os.PathLike``."""
     _require_path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_edge_list(g))

@@ -84,7 +84,6 @@ order and return identical witnesses.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, permutations, product
 from operator import index, itemgetter, or_
@@ -114,12 +113,14 @@ I2_MATRIX = ((1, 0), (0, 1))
 K2_MATRIX = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(NamedTuple):
     """Factor pair plus the vertex labeling proving g = direct(factor_a, factor_b).
 
     ``labeling[v] == (r, c)`` places vertex v of the factored graph at row r
     of factor_a and column c of factor_b, i.e. at product index ``r * b + c``.
+
+    As a named tuple it also unpacks, indexes and compares equal to the plain
+    tuple of its fields.
     """
 
     factor_a: Graph

@@ -52,9 +52,8 @@ backtracker that checks edges alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Graph,
@@ -63,20 +62,30 @@ from .core import (
     bits,
     check_node_limit,
     relabel,
+    require_graphs,
 )
 
 DEFAULT_NODE_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class IsomorphismWitness:
-    """A node bijection carrying g1 onto g2: node v of g1 maps to mapping[v]."""
+class IsomorphismWitness(NamedTuple):
+    """A node bijection carrying g1 onto g2: node v of g1 maps to mapping[v].
+
+    As a named tuple it also unpacks, indexes and compares equal to the plain
+    tuple of its fields.
+    """
 
     mapping: tuple[int, ...]
 
 
 def is_isomorphism(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
-    """True iff ``mapping`` sends the edge set of g1 exactly onto g2's."""
+    """True iff ``mapping`` sends the edge set of g1 exactly onto g2's.
+
+    Operands that are not :class:`Graph` instances raise
+    :class:`PreconditionError`; a mapping that is not a permutation of g1's
+    nodes answers False.
+    """
+    require_graphs("is_isomorphism", g1, g2)
     try:
         return g1.node_count == g2.node_count and relabel(g1, mapping).edges == g2.edges
     except PreconditionError:  # not a permutation of g1's nodes
@@ -249,8 +258,10 @@ def are_isomorphic(
     ``node_limit`` raise :class:`SizeLimitError`; pass ``node_limit=None``
     to lift the bound.  Graphs whose orders, edge counts or loop counts
     differ are told apart by the (degree, loop) seed of
-    :func:`_equitable_partition`, before any placement.
+    :func:`_equitable_partition`, before any placement.  Operands that are not
+    :class:`Graph` instances raise :class:`PreconditionError`.
     """
+    require_graphs("are_isomorphic", g1, g2)
     if g1.node_count == 0 or g2.node_count == 0:
         raise PreconditionError("isomorphism is undefined for the empty graph")
     check_node_limit(max(g1.node_count, g2.node_count), node_limit, "input")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
-from .core import Edge, Graph, PreconditionError, bits, check_node_limit
+from .core import Edge, Graph, PreconditionError, bits, check_node_limit, require_graphs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,12 +80,13 @@ def product(
     * strong: cartesian ∪ direct;
     * lexicographic: (e1 × V2²) ∪ (diag(V1) × e2).
 
-    Empty factors and anything but a :class:`ProductKind` raise
-    :class:`PreconditionError`; a product above ``node_limit`` nodes raises
-    :class:`SizeLimitError`.
+    Empty factors, factors that are not :class:`Graph` instances and anything
+    but a :class:`ProductKind` raise :class:`PreconditionError`; a product above
+    ``node_limit`` nodes raises :class:`SizeLimitError`.
     """
     if not isinstance(kind, ProductKind):
         raise PreconditionError(f"unknown product kind: {kind!r}")
+    require_graphs("product", g1, g2)
     n1, n2 = g1.node_count, g2.node_count
     if n1 == 0 or n2 == 0:
         raise PreconditionError("graph products require nonempty factors")

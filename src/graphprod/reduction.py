@@ -44,9 +44,8 @@ function, and :func:`class_g_isomorphism` reaches it through the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     MAX_HEADER_NODES,
@@ -81,9 +80,12 @@ CLASS_G_PROPERTIES = (
 )
 
 
-@dataclass(frozen=True)
-class ClassGReport:
-    """Pass/fail of the five class G properties; member iff all hold."""
+class ClassGReport(NamedTuple):
+    """Pass/fail of the five class G properties; member iff all hold.
+
+    As a named tuple it also unpacks, indexes and compares equal to the plain
+    tuple of its fields.
+    """
 
     member: bool
     p1_connected_nonbipartite: bool
@@ -165,9 +167,12 @@ def prime_in_bertrand_range(n: int) -> int:
     raise InternalError(f"no prime strictly between {2 * n} and {4 * n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class PaddingResult:
-    """The padded graph plus construction bookkeeping."""
+class PaddingResult(NamedTuple):
+    """The padded graph plus construction bookkeeping.
+
+    As a named tuple it also unpacks, indexes and compares equal to the plain
+    tuple of its fields.
+    """
 
     padded: Graph
     chosen_prime: int

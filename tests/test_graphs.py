@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from graphprod import (
     relabel,
     write_edge_list,
 )
+from graphprod import core
 from graphprod.core import MAX_HEADER_NODES, breadth_first
 from graphprod.catalog import (
     C3,
@@ -497,6 +499,19 @@ def test_edge_list_files_take_paths_only(tmp_path):
     for path in (str(tmp_path / "s.el"), os.fsencode(tmp_path / "b.el"), tmp_path / "p.el"):
         write_edge_list(C3, path)
         assert read_edge_list(path) == C3
+
+
+def test_edge_list_files_take_no_nul_paths(monkeypatch):
+    # open() would raise a raw ValueError("embedded null byte"); the check runs first
+    def no_open(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(core, "open", no_open, raising=False)
+    for path in ("a\0b", b"a\0b", Path("a\0b")):
+        with pytest.raises(PreconditionError, match="^path must not contain a NUL"):
+            read_edge_list(path)
+        with pytest.raises(PreconditionError, match="^path must not contain a NUL"):
+            write_edge_list(C3, path)
 
 
 _DESCRIPTOR_PATHS = textwrap.dedent(

@@ -1,6 +1,7 @@
 """Product definitions against the all-pairs oracle, Kronecker identities."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from graphprod import (
     strong_product,
     verify_kronecker_identity,
 )
-from graphprod.catalog import C4, C5, D2, K2, L1, add_loops
+from graphprod.catalog import C3, C4, C5, D2, K2, L1, add_loops
 
 from helpers import (
     all_graphs,
@@ -212,3 +213,25 @@ def test_loops_follow_definitions():
     # cartesian and lexicographic: loop where either factor has one
     assert cartesian_product(looped, K2).loop_count == 2
     assert lexicographic_product(K2, looped).loop_count == 2
+
+
+NOT_GRAPHS = (None, (3, [(0, 1), (1, 2), (0, 2)]), SimpleNamespace(node_count=3, edges=[(0, 5)]))
+
+
+@pytest.mark.parametrize("bad", NOT_GRAPHS, ids=["None", "tuple", "duck"])
+def test_isomorphism_and_product_entry_points_take_graphs_only(bad):
+    # each entry point raises from the gate of the function that reads the operands
+    runs = [
+        ("are_isomorphic", are_isomorphic),
+        ("is_isomorphism", lambda g1, g2: is_isomorphism(g1, g2, [0, 1, 2])),
+        ("product", lambda g1, g2: product(ProductKind.DIRECT, g1, g2)),
+        ("product", direct_product),
+        ("product", cartesian_product),
+        ("product", strong_product),
+        ("product", lexicographic_product),
+        ("product", verify_kronecker_identity),
+    ]
+    for checker, run in runs:
+        for operands in ((bad, C3), (C3, bad)):
+            with pytest.raises(PreconditionError, match=f"^{checker} operands must be Graphs$"):
+                run(*operands)

@@ -18,11 +18,14 @@ from graphprod import (
     class_g_check,
     class_g_isomorphism,
     disjoint_union,
+    direct_product,
     div2div3_offset,
+    find_factorization,
     graph_isomorphism_via_compositeness,
     pad_to_class_g,
     padding_result_to_json,
     prime_in_bertrand_range,
+    relabel,
     search_oracle,
     elimination_oracle,
     union_compositeness_by_elimination,
@@ -37,6 +40,7 @@ from graphprod.catalog import (
     L1,
     NAMED,
     P3_END_LOOP,
+    P4,
     add_loops,
     path_graph,
 )
@@ -550,3 +554,42 @@ def test_the_elimination_lemma_lives_in_reduction():
         fn = getattr(reduction, name)
         assert fn.__module__ == "graphprod.reduction"
         assert getattr(graphprod, name) is fn
+
+
+# One record of each kind, each from a real call: its fields in order, and
+# what its derived member returns today.
+RECORDS = {
+    "FactorizationWitness": (
+        lambda: find_factorization(direct_product(K2, C3)),
+        ("factor_a", "factor_b", "labeling"),
+        None,
+    ),
+    "IsomorphismWitness": (lambda: are_isomorphic(C3, relabel(C3, [2, 0, 1])), ("mapping",), None),
+    "ClassGReport": (
+        lambda: class_g_check(C5_LOOP),
+        ("member", "p1_connected_nonbipartite", "p2_prime_order", "p3_loops_lt_edges",
+         "p4_not_div2", "p5_not_div3"),
+        lambda r: r.violations() == [],
+    ),
+    "PaddingResult": (
+        lambda: pad_to_class_g(P4),
+        ("padded", "chosen_prime", "fan_edges", "cycle_edges", "loops_added"),
+        lambda r: r.loop_nodes == (5,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_result_records_are_frozen_values(name):
+    build, fields, derived = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    rebuilt = type(record)(**{field: getattr(record, field) for field in fields})
+    assert rebuilt == record and hash(rebuilt) == hash(record)
+    assert repr(record).startswith(f"{name}({fields[0]}=")
+    assert derived is None or (derived(record) and derived(rebuilt))
