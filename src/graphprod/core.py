@@ -211,6 +211,7 @@ def relabel(g: Graph, mapping: Sequence[int]) -> Graph:
     as :class:`Graph` reads endpoints, numpy integers included.  A dict or a
     set is rejected: it iterates its keys, not v's image at position v.
     """
+    require_graphs("relabel", g)
     n = g.node_count
     try:
         mapping = None if isinstance(mapping, (Mapping, Set)) else list(map(index, mapping))
@@ -311,6 +312,7 @@ def breadth_first(masks: Sequence[int]) -> Traversal:
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has one component.  Rejects empty graphs."""
+    require_graphs("is_connected", g)
     if g.node_count == 0:
         raise PreconditionError("connectivity is undefined for the empty graph")
     return len(g.traversal.starts) == 1
@@ -318,6 +320,7 @@ def is_connected(g: Graph) -> bool:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest node."""
+    require_graphs("connected_components", g)
     order, starts, _ = g.traversal
     return [sorted(order[i:j]) for i, j in zip(starts, starts[1:] + (len(order),))]
 
@@ -328,6 +331,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     A set or a dict is rejected: a set has no positions, and a dict iterates
     its keys.
     """
+    require_graphs("induced_subgraph", g)
     if isinstance(nodes, (Mapping, Set)):
         raise PreconditionError("nodes must be a sequence or an iterator, not a set or a mapping")
     try:  # read once, as an iterator would be used up
@@ -351,12 +355,14 @@ def bipartition(g: Graph) -> list[int] | None:
     its component.  Any self-loop is an odd cycle of length one, so loopy
     graphs are never bipartite.
     """
+    require_graphs("bipartition", g)
     coloring = g.traversal.coloring
     return None if coloring is None else list(coloring)
 
 
 def is_bipartite(g: Graph) -> bool:
     """True iff the graph admits a proper 2-coloring."""
+    require_graphs("is_bipartite", g)
     return g.traversal.coloring is not None
 
 
@@ -365,6 +371,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
     Needs numpy: ``pip install "graphprod[arrays]"``.
     """
+    require_graphs("adjacency_matrix", g)
     import numpy as np
 
     n = g.node_count
@@ -458,6 +465,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     """Canonical edge-list text for ``g`` (edges sorted by (min, max))."""
+    require_graphs("format_edge_list", g)
     lines = [f"{g.node_count} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
@@ -498,7 +506,13 @@ def read_edge_list(path) -> Graph:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    """Write ``format_edge_list(g)`` to ``path``, a NUL-free str, bytes or ``os.PathLike``."""
+    """Write ``format_edge_list(g)`` to ``path``, a NUL-free str, bytes or ``os.PathLike``.
+
+    Both arguments are checked, and the text built, before ``path`` is
+    opened, so a call that fails leaves an existing file as it was.
+    """
+    require_graphs("write_edge_list", g)
     _require_path(path)
+    text = format_edge_list(g)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
+        fh.write(text)

@@ -83,9 +83,10 @@ order and return identical witnesses.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, compress, permutations, product
+from math import isqrt
 from operator import index, itemgetter, or_
 from typing import NamedTuple
 
@@ -99,6 +100,7 @@ from .core import (
     disjoint_union,
     is_bipartite,
     is_connected,
+    require_graphs,
 )
 from .isomorphism import IsomorphismWitness, is_isomorphism
 from .products import kronecker_rows
@@ -136,8 +138,10 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
     (r, c) is then checked on bitmask rows: the labels r' * b + c' of v's
     neighbours must be exactly row r * b + c of A (x) B, as
     :func:`~graphprod.products.kronecker_rows` builds it from the factors'
-    own adjacency.
+    own adjacency.  A ``g`` that is not a :class:`Graph` raises
+    :class:`PreconditionError`.
     """
+    require_graphs("witness_is_valid", g)
     fa, fb, labeling = (getattr(w, name, None) for name in ("factor_a", "factor_b", "labeling"))
     if not (isinstance(fa, Graph) and isinstance(fb, Graph)):
         return False
@@ -163,6 +167,9 @@ def witness_is_valid(g: Graph, w: FactorizationWitness) -> bool:
 
 def witness_to_json(w: FactorizationWitness) -> dict:
     """Witness report: factor orders, factor edge lists, labeling pairs."""
+    if not isinstance(w, FactorizationWitness):
+        raise PreconditionError("witness_to_json needs a FactorizationWitness")
+    require_graphs("witness_to_json", w.factor_a, w.factor_b)
     return {
         "a_order": w.factor_a.node_count,
         "b_order": w.factor_b.node_count,
@@ -491,6 +498,7 @@ def factor_search(
     search to factorizations through that exact left factor.  Returned
     witnesses are re-verified by product recomputation before return.
     """
+    require_graphs("factor_search", g)
     check_node_limit(g.node_count, node_limit, "graph")
     a, b = (as_int(x, "factor orders must be integers") for x in (a, b))
     if a < 2 or b < 2 or a > b:
@@ -510,8 +518,13 @@ def factor_search(
     return None
 
 
-def _divisor_pairs(n: int) -> list[tuple[int, int]]:
-    return [(a, n // a) for a in range(2, int(n**0.5) + 1) if n % a == 0]
+def _divisor_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Each split n = a * b with 2 <= a <= b, in increasing a, yielded as the scan meets it.
+
+    The scan is lazy, so a caller that only asks whether n splits
+    (:func:`graphprod.reduction.is_prime_int`) stops at the smallest divisor.
+    """
+    return ((a, n // a) for a in range(2, isqrt(n) + 1) if n % a == 0)
 
 
 def find_factorization(
@@ -521,10 +534,11 @@ def find_factorization(
 
     Raises :class:`PreconditionError` on the empty graph.
     """
+    require_graphs("find_factorization", g)
     if g.node_count == 0:
         raise PreconditionError("factoring is undefined for the empty graph")
     check_node_limit(g.node_count, node_limit, "graph")
-    splits = _divisor_pairs(g.node_count)
+    splits = list(_divisor_pairs(g.node_count))
     if not splits:
         return None
     if (
@@ -546,6 +560,7 @@ def is_prime_direct(g: Graph, *, node_limit: int | None = DEFAULT_NODE_LIMIT) ->
     The single-node graph is neither prime nor composite; it reports False
     here and is called out as trivial by the CLI.
     """
+    require_graphs("is_prime_direct", g)
     check_node_limit(g.node_count, node_limit, "graph")
     if g.node_count == 1:
         return False
@@ -576,6 +591,7 @@ def factorization_from_isomorphism(
     is g1.  Vertices of g1 keep their labels in row 0, vertices of g2 land in
     row 1 at the position of their preimage under the isomorphism.
     """
+    require_graphs("factorization_from_isomorphism", g1, g2)
     n = _require_connected_pair(g1, g2, "doubling factorization")
     if not is_isomorphism(g1, g2, getattr(witness, "mapping", None)):
         raise PreconditionError("witness is not an isomorphism from g1 to g2")
@@ -602,6 +618,7 @@ def isomorphism_from_union_factorization(
     ``node_limit`` bounds the union's 2n nodes, not n: at the default 20,
     two 11-node graphs raise :class:`~graphprod.core.SizeLimitError`.
     """
+    require_graphs("isomorphism_from_union_factorization", g1, g2)
     n = _require_connected_pair(g1, g2, "union factorization")
     union = disjoint_union(g1, g2)
     found = factor_search(union, 2, n, node_limit=node_limit, fixed_a=I2_MATRIX)
@@ -626,6 +643,7 @@ def isomorphism_from_union_factorization(
 
 def search_oracle(g: Graph) -> bool:
     """Compositeness by exhaustive factor search, with no size bound."""
+    require_graphs("search_oracle", g)
     if g.node_count <= 1:
         return False
     return find_factorization(g, node_limit=None) is not None

@@ -129,8 +129,10 @@ def kronecker(
     """
     import numpy as np
 
-    a = np.asarray(a)
-    b = np.asarray(b)
+    try:
+        a, b = np.asarray(a), np.asarray(b)
+    except ValueError:  # a ragged nested sequence
+        raise PreconditionError("kronecker operands must not be ragged") from None
     if a.ndim == 0 or b.ndim == 0:
         raise PreconditionError("kronecker needs operands with at least one axis")
     check_node_limit(a.shape[0] * b.shape[0], node_limit, "Kronecker result")

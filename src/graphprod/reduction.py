@@ -63,7 +63,7 @@ from .core import (
     is_connected,
     require_graphs,
 )
-from .factorization import I2_MATRIX, K2_MATRIX
+from .factorization import I2_MATRIX, K2_MATRIX, _divisor_pairs
 from .isomorphism import are_isomorphic
 
 CompositenessOracle = Callable[[Graph], bool]
@@ -99,18 +99,11 @@ class ClassGReport(NamedTuple):
 
 
 def is_prime_int(x: int) -> bool:
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether x is prime: x >= 2 with no divisor split.
+
+    The splits are the factor search's own lazy scan, stopped at its first divisor.
+    """
+    return x >= 2 and next(_divisor_pairs(x), None) is None
 
 
 def class_g_check(g: Graph) -> ClassGReport:
@@ -152,9 +145,9 @@ def div2div3_offset(t: int) -> int:
 def prime_in_bertrand_range(n: int) -> int:
     """Smallest prime p with 2n < p < 4n (exists for every n >= 2).
 
-    The search is trial division, so n above :data:`~graphprod.core.MAX_HEADER_NODES`,
-    more nodes than any edge-list header may announce, raises
-    :class:`~graphprod.core.SizeLimitError`.
+    Each candidate is tested by the divisor scan of :func:`is_prime_int`, so n
+    above :data:`~graphprod.core.MAX_HEADER_NODES`, more nodes than any
+    edge-list header may announce, raises :class:`~graphprod.core.SizeLimitError`.
     """
     n = as_int(n, "n must be an integer")
     if n < 2:
@@ -237,6 +230,9 @@ def pad_to_class_g(g: Graph) -> PaddingResult:
 
 
 def padding_result_to_json(result: PaddingResult) -> dict:
+    if not isinstance(result, PaddingResult):
+        raise PreconditionError("padding_result_to_json needs a PaddingResult")
+    require_graphs("padding_result_to_json", result.padded)
     return {
         "p": result.chosen_prime,
         "d": result.loops_added,
@@ -270,7 +266,7 @@ def pad_pair(g1: Graph, g2: Graph) -> tuple[PaddingResult, PaddingResult, Graph]
     for g, which in ((g1, "first"), (g2, "second")):
         if g.node_count < 2:
             raise PreconditionError(f"{which} graph needs at least 2 nodes")
-        if not is_connected(g):
+        if len(g.traversal.starts) != 1:  # is_connected, with no second gate per count-filter op
             raise PreconditionError(f"{which} graph must be connected")
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return None
@@ -304,6 +300,7 @@ def two_block_survivors(g1: Graph, g2: Graph) -> list[tuple[tuple[int, int], tup
     that total is not divisible by 3 resp. 4; the antidiagonal A would make
     the product bipartite while the union is not.
     """
+    require_graphs("two_block_survivors", g1, g2)
     total = g1.nonzero_count + g2.nonzero_count
     survivors = []
     for mat in (((x, y), (y, z)) for x, y, z in product((0, 1), repeat=3)):

@@ -45,6 +45,7 @@ from graphprod.factorization import (
     I2_MATRIX,
     _FactorSearch,
     _check_fixed_a,
+    _divisor_pairs,
     _left_factor,
     _left_factor_feasible,
     _left_factors,
@@ -795,6 +796,34 @@ def test_search_matches_every_exact_left_factor_in_order():
             assert factor_search(g, a, b) == expect, (g, a)
             if n <= 9:
                 assert (expect is not None) == naive_factor_exists(g, a, b), (g, a)
+
+
+def test_divisor_pairs_match_the_multiplication_table_up_to_5000():
+    # the table is built from products, not by dividing
+    top = 5000
+    table = {n: [] for n in range(1, top + 1)}
+    for a in range(2, top + 1):
+        for b in range(a, top // a + 1):
+            table[a * b].append((a, b))
+    for n, pairs in table.items():
+        assert list(_divisor_pairs(n)) == pairs, n
+
+
+class _CountingInt(int):
+    """An int that counts the remainders taken of it."""
+
+    taken = 0
+
+    def __mod__(self, other):
+        _CountingInt.taken += 1
+        return int(self) % other
+
+
+def test_divisor_pairs_stop_at_the_first_divisor():
+    # 1001 = 7 * 11 * 13: a lazy scan divides by 2..7 and no further
+    _CountingInt.taken = 0
+    assert next(_divisor_pairs(_CountingInt(1001))) == (7, 143)
+    assert _CountingInt.taken == 6
 
 
 def _first_split_witness(g):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,7 +168,43 @@ def test_prime_is_bounded_by_the_header_ceiling():
             prime_in_bertrand_range(n)
 
 
+def _sieve(top: int) -> bytearray:
+    """is_prime[x] for 0 <= x <= top, by the sieve of Eratosthenes."""
+    is_prime = bytearray([1]) * (top + 1)
+    is_prime[:2] = b"\0\0"
+    for x in range(2, isqrt(top) + 1):
+        if is_prime[x]:
+            is_prime[x * x :: x] = bytes(len(range(x * x, top + 1, x)))
+    return is_prime
+
+
+def test_is_prime_int_matches_a_sieve_up_to_200000():
+    sieve = _sieve(200000)
+    assert [x for x in range(200001) if is_prime_int(x)] == [x for x, y in enumerate(sieve) if y]
+    assert not any(is_prime_int(x) for x in (-7, -2, -1))
+
+
+def test_bertrand_prime_matches_a_sieve_up_to_5000():
+    sieve = _sieve(4 * 5000)
+    for n in range(2, 5001):
+        assert prime_in_bertrand_range(n) == next(p for p in range(2 * n + 1, 4 * n) if sieve[p])
+
+
 # -- padding -------------------------------------------------------------------
+
+
+def test_pad_follows_its_rule_on_every_connected_graph_of_2_to_5_nodes():
+    # the smallest prime p in (2n, 4n) and the residue offset d of nnz + 2p,
+    # except n = 2, p = 5, d = 3, whose three loop nodes do not exist: p = 7
+    sieve = _sieve(20)
+    for n in range(2, 6):
+        for g in all_connected_graphs(n):
+            p = next(p for p in range(2 * n + 1, 4 * n) if sieve[p])
+            d = _smallest_valid_offset(g.nonzero_count + 2 * p)
+            if (n, p, d) == (2, 5, 3):
+                p, d = 7, _smallest_valid_offset(g.nonzero_count + 14)
+            result = pad_to_class_g(g)
+            assert (result.chosen_prime, result.loops_added) == (p, d), g
 
 
 def test_pad_triangle_matches_worked_example():
