@@ -9,14 +9,16 @@ violated, 5 internal error (a result failed its own re-verification).
 report on stdout.  The ``GRAPHPROD_MAX_NODES`` environment variable
 overrides the built-in size bounds.
 
+``main`` alone reads the input files, in argument order, and passes the
+graphs to the handler that the parser binds to the subcommand as ``run``.
 Handlers return their outcome and human lines; ``main`` alone times the
-command, writes the report and maps every error to its exit code.  Every
-line on stdout and stderr, argparse's usage and help text included, goes
-through one helper, ``_write``.  A lost stdout (a closed pipe, or a
-descriptor closed at start-up) is reported with one ``error:`` line and
-exit 2, unless the run had already failed with an error, which keeps its
-own code; a closed or broken stderr changes neither the exit code nor
-stdout.
+command, reads included, writes the report and maps every error to its
+exit code.  Every line on stdout and stderr, argparse's usage and help
+text included, goes through one helper, ``_write``.  A lost stdout (a
+closed pipe, or a descriptor closed at start-up) is reported with one
+``error:`` line and exit 2, unless the run had already failed with an
+error, which keeps its own code; a closed or broken stderr changes
+neither the exit code nor stdout.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from . import catalog, factorization, isomorphism, products, reduction
 from .core import (
     MAX_HEADER_NODES,
     EdgeListParseError,
+    Graph,
     InternalError,
     PreconditionError,
     SizeLimitError,
@@ -101,9 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the product here instead of stdout")
     p.add_argument("file1")
     p.add_argument("file2")
+    p.set_defaults(run=_cmd_product)
 
     f = sub.add_parser("factor", help="direct-product primality / factorization")
     f.add_argument("file")
+    f.set_defaults(run=_cmd_factor)
 
     i = sub.add_parser("iso", help="decide graph isomorphism")
     i.add_argument("--mode", required=True, choices=["direct", "reduction"])
@@ -115,22 +120,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     i.add_argument("file1")
     i.add_argument("file2")
+    i.set_defaults(run=_cmd_iso)
 
     c = sub.add_parser("classg", help="class G membership report, optional padding")
     c.add_argument("--pad", action="store_true", help="also emit the padded graph")
     c.add_argument("--out", help="write the padded graph here (implies --pad)")
     c.add_argument("file")
+    c.set_defaults(run=_cmd_classg)
 
     d = sub.add_parser("demo", help="reproduce the counterexample constructions")
     d.add_argument("which", choices=["fig2", "fig3"])
+    d.set_defaults(run=_cmd_demo)
     for command in sub.choices.values():
         command.add_argument("--json", action="store_true")
     return parser
 
 
-def _cmd_product(args) -> tuple[dict, list[str]]:
-    g1 = read_edge_list(args.file1)
-    g2 = read_edge_list(args.file2)
+def _cmd_product(args, g1: Graph, g2: Graph) -> tuple[dict, list[str]]:
     # capped at the header ceiling, so graphprod can read back what it writes
     limit = min(_env_limit() or products.DEFAULT_NODE_LIMIT, MAX_HEADER_NODES)
     result = product(ProductKind(args.kind), g1, g2, node_limit=limit)
@@ -150,8 +156,7 @@ def _cmd_product(args) -> tuple[dict, list[str]]:
     return outcome, human
 
 
-def _cmd_factor(args) -> tuple[dict, list[str]]:
-    g = read_edge_list(args.file)
+def _cmd_factor(args, g: Graph) -> tuple[dict, list[str]]:
     limit = _env_limit() or factorization.DEFAULT_NODE_LIMIT
     if g.node_count == 1:
         return {"verdict": "trivial"}, ["trivial"]
@@ -168,9 +173,7 @@ def _cmd_factor(args) -> tuple[dict, list[str]]:
     return {"verdict": "composite", "witness": wj}, human
 
 
-def _cmd_iso(args) -> tuple[dict, list[str]]:
-    g1 = read_edge_list(args.file1)
-    g2 = read_edge_list(args.file2)
+def _cmd_iso(args, g1: Graph, g2: Graph) -> tuple[dict, list[str]]:
     env = _env_limit()
     biggest = max(g1.node_count, g2.node_count)
     if env is not None and biggest > env:  # both modes, before any padding or search
@@ -210,8 +213,7 @@ def _cmd_iso(args) -> tuple[dict, list[str]]:
     return outcome, human
 
 
-def _cmd_classg(args) -> tuple[dict, list[str]]:
-    g = read_edge_list(args.file)
+def _cmd_classg(args, g: Graph) -> tuple[dict, list[str]]:
     report = reduction.class_g_check(g)
     outcome: dict = report._asdict()
     human = [
@@ -294,15 +296,6 @@ def _cmd_demo(args) -> tuple[dict, list[str]]:
     return outcome, human
 
 
-_HANDLERS = {
-    "product": _cmd_product,
-    "factor": _cmd_factor,
-    "iso": _cmd_iso,
-    "classg": _cmd_classg,
-    "demo": _cmd_demo,
-}
-
-
 def _write(line: str, name: str = "stdout") -> bool:
     """Print one line on ``sys.stdout`` or ``sys.stderr`` and flush it; False if it was lost.
 
@@ -328,9 +321,10 @@ def _write(line: str, name: str = "stdout") -> bool:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    inputs = [vars(args)[k] for k in ("file", "file1", "file2") if k in args]
     started = time.perf_counter()
     try:
-        outcome, human = _HANDLERS[args.command](args)
+        outcome, human = args.run(args, *map(read_edge_list, inputs))
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
         _write(f"error: {exc}", "stderr")
@@ -340,7 +334,7 @@ def main(argv=None) -> int:
     if args.json:
         human = [json.dumps({
             "command": args.command,
-            "inputs": [vars(args)[k] for k in ("file", "file1", "file2") if k in args],
+            "inputs": inputs,
             "outcome": outcome,
             "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
         })]

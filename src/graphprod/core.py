@@ -19,7 +19,8 @@ recomputing it.
 Per-graph data is computed once and cached on the graph, for as long as the
 graph lives: adjacency rows as bitmasks (``Graph.adjacency_masks``), the one
 adjacency view; one pass of :func:`breadth_first` over them
-(``Graph.traversal``), for connectivity, components and bipartiteness; and
+(``Graph.traversal``), for connectivity, components and bipartiteness,
+which keeps the depth parity as the one bitmask the pass builds; and
 the graph's :func:`~graphprod.reduction.pad_to_class_g` result, once it has
 been padded.  Two builders, :func:`disjoint_union` and
 :func:`~graphprod.reduction.pad_to_class_g`, make graphs from edges that are
@@ -87,6 +88,14 @@ def as_int(x, message: str) -> int:
     try:
         return index(x)
     except TypeError:
+        raise PreconditionError(message) from None
+
+
+def as_int_pairs(pairs, message: str) -> list[list[int]]:
+    """``pairs`` as two-int lists, for a JSON report; anything else raises ``message``."""
+    try:
+        return [[index(x), index(y)] for x, y in pairs]
+    except (TypeError, ValueError):  # not iterable, not a pair, or not an integer
         raise PreconditionError(message) from None
 
 
@@ -254,11 +263,11 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         shifted = tuple(row << n1 for row in g2.adjacency_masks)
         views["adjacency_masks"] = g1.adjacency_masks + shifted
     if "traversal" in cached1 and "traversal" in cached2:
-        (order1, starts1, coloring1), (order2, starts2, coloring2) = g1.traversal, g2.traversal
+        (order1, starts1, odd1), (order2, starts2, odd2) = g1.traversal, g2.traversal
         views["traversal"] = Traversal(
             order1 + tuple(v + n1 for v in order2),
             starts1 + tuple(i + n1 for i in starts2),  # len(order1) == n1
-            None if coloring1 is None or coloring2 is None else coloring1 + coloring2,
+            None if odd1 is None or odd2 is None else odd1 | odd2 << n1,
         )
     return Graph._derived(n1 + g2.node_count, edges, g1.loop_count + g2.loop_count, **views)
 
@@ -274,7 +283,7 @@ def bits(mask: int) -> Iterator[int]:
 class Traversal(NamedTuple):
     order: tuple[int, ...]  # every node, in visiting order
     starts: tuple[int, ...]  # index in ``order`` of each component's first node
-    coloring: tuple[int, ...] | None  # BFS depth parity; None on an odd cycle
+    odd: int | None  # bitmask of the nodes at odd BFS depth; None on an odd cycle
 
 
 def breadth_first(masks: Sequence[int]) -> Traversal:
@@ -306,8 +315,7 @@ def breadth_first(masks: Sequence[int]) -> Traversal:
             low = fresh & -fresh
             order.append(low.bit_length() - 1)
             fresh ^= low
-    coloring = None if clash else tuple(odd >> v & 1 for v in range(len(masks)))
-    return Traversal(tuple(order), tuple(starts), coloring)
+    return Traversal(tuple(order), tuple(starts), None if clash else odd)
 
 
 def is_connected(g: Graph) -> bool:
@@ -356,14 +364,14 @@ def bipartition(g: Graph) -> list[int] | None:
     graphs are never bipartite.
     """
     require_graphs("bipartition", g)
-    coloring = g.traversal.coloring
-    return None if coloring is None else list(coloring)
+    odd = g.traversal.odd
+    return None if odd is None else [odd >> v & 1 for v in range(g.node_count)]
 
 
 def is_bipartite(g: Graph) -> bool:
     """True iff the graph admits a proper 2-coloring."""
     require_graphs("is_bipartite", g)
-    return g.traversal.coloring is not None
+    return g.traversal.odd is not None
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

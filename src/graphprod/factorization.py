@@ -95,6 +95,7 @@ from .core import (
     InternalError,
     PreconditionError,
     as_int,
+    as_int_pairs,
     bits,
     check_node_limit,
     disjoint_union,
@@ -175,7 +176,7 @@ def witness_to_json(w: FactorizationWitness) -> dict:
         "b_order": w.factor_b.node_count,
         "a_edges": [list(e) for e in w.factor_a.sorted_edges()],
         "b_edges": [list(e) for e in w.factor_b.sorted_edges()],
-        "labeling": [list(pair) for pair in w.labeling],
+        "labeling": as_int_pairs(w.labeling, "labeling must be pairs of integers"),
     }
 
 

@@ -55,6 +55,7 @@ from .core import (
     PreconditionError,
     SizeLimitError,
     as_int,
+    as_int_pairs,
     connected_components,
     disjoint_union,
     format_edge_list,
@@ -233,11 +234,11 @@ def padding_result_to_json(result: PaddingResult) -> dict:
     if not isinstance(result, PaddingResult):
         raise PreconditionError("padding_result_to_json needs a PaddingResult")
     require_graphs("padding_result_to_json", result.padded)
-    return {
-        "p": result.chosen_prime,
-        "d": result.loops_added,
-        "fan_edges": [list(e) for e in result.fan_edges],
-        "cycle_edges": [list(e) for e in result.cycle_edges],
+    return {  # values are read in order, so loop_nodes reads checked fields
+        "p": as_int(result.chosen_prime, "chosen_prime must be an integer"),
+        "d": as_int(result.loops_added, "loops_added must be an integer"),
+        "fan_edges": as_int_pairs(result.fan_edges, "fan_edges must be pairs of integers"),
+        "cycle_edges": as_int_pairs(result.cycle_edges, "cycle_edges must be pairs of integers"),
         "loop_nodes": list(result.loop_nodes),
         "padded_graph": format_edge_list(result.padded),
     }

@@ -17,6 +17,8 @@ from graphprod import (
     factor_search,
     kronecker,
     pad_to_class_g,
+    padding_result_to_json,
+    witness_to_json,
     write_edge_list,
 )
 from graphprod.catalog import C3, C5, C5_LOOP, K2, P4
@@ -153,3 +155,23 @@ def test_kronecker_refuses_a_ragged_operand():
     for a, b in (([[1, 0], [0]], [[1]]), ([[1]], [[1, 0], [0]])):
         with pytest.raises(PreconditionError, match="^kronecker operands must not be ragged$"):
             kronecker(a, b)
+
+
+@pytest.mark.parametrize(
+    "to_json, record, fields",
+    [
+        (witness_to_json, WITNESS, ("labeling",)),
+        (
+            padding_result_to_json,
+            pad_to_class_g(P4),
+            ("chosen_prime", "fan_edges", "cycle_edges", "loops_added"),
+        ),
+    ],
+    ids=["witness", "padding"],
+)
+def test_a_record_with_a_junk_field_is_a_precondition_error(to_json, record, fields):
+    # named tuples take any values, so each non-graph field is read as integers
+    for name in fields:
+        for junk in (None, 2.5, "junk", ((1.5, 2),)):
+            with pytest.raises(PreconditionError, match=f"^{name} must be "):
+                to_json(record._replace(**{name: junk}))

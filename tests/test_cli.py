@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output formats, corpus round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -556,6 +557,53 @@ def test_every_json_report_has_one_envelope(argv, files, capsys):
     assert list(report) == ["command", "inputs", "outcome", "elapsed_ms"]
     assert report["command"] == argv[0]
     assert report["inputs"] == [path(name) for name in files]
+
+
+def _golden_runs():
+    """Every argv of the golden CLI digest, over the bundled corpus in name order."""
+    names = sorted(NAMED)
+    small = [name for name in names if NAMED[name].node_count <= 3]
+    for name in names:
+        yield ["factor", path(name)]
+        for flags in ([], ["--json"], ["--pad"]):
+            yield ["classg", *flags, path(name)]
+    for a in names:
+        for b in names:
+            yield ["iso", "--mode", "direct", "--json", path(a), path(b)]
+            for oracle in ("factor-search", "classg-elimination"):
+                for flags in ([], ["--json"]):
+                    argv = ["iso", "--mode", "reduction", "--oracle", oracle, *flags]
+                    yield [*argv, path(a), path(b)]
+    for kind in ("direct", "cartesian", "strong", "lexicographic"):
+        for a in small:
+            for b in small:
+                yield ["product", "--kind", kind, path(a), path(b)]
+    for which in ("fig2", "fig3"):
+        for flags in ([], ["--json"]):
+            yield ["demo", *flags, which]
+    yield ["factor", "--json", os.path.join(os.path.dirname(path("k2")), "missing.el")]
+
+
+# sha256 of the exit code, stdout and stderr of every run of _golden_runs, with
+# elapsed_ms and the corpus directory masked, as printed before cli.main read
+# its inputs itself; any change to a byte the CLI prints changes it
+GOLDEN_CLI_DIGEST = "fc80321022eec1df5c62fecde0dbbf05b03fe12ffc32e5efebcc19e2ae5f038c"
+GOLDEN_CLI_RUNS = 2694
+
+
+def test_golden_cli_bytes_are_unchanged(monkeypatch, capsys):
+    monkeypatch.delenv("GRAPHPROD_MAX_NODES", raising=False)
+    corpus = os.path.dirname(path("k2"))
+    h = hashlib.sha256()
+    runs = 0
+    for argv in _golden_runs():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        record = repr((argv, code, out, err)).replace(repr(corpus)[1:-1], "<corpus>")
+        h.update(_masked(record.encode()) + b"\n")
+        runs += 1
+    assert runs == GOLDEN_CLI_RUNS
+    assert h.hexdigest() == GOLDEN_CLI_DIGEST
 
 
 @pytest.mark.parametrize("command", ["product", "factor", "iso", "classg", "demo"])

@@ -450,6 +450,30 @@ def test_left_factors_of_order_5_are_the_544_class_minima():
         assert int(_class_masks(mats[mask])[0].min()) == mask, record.graph
 
 
+# sha256 of the witnesses of test_every_product_of_two_left_factor_classes_factors,
+# as found before that test existed; a change to the split order, the class
+# order or the search that alters a returned witness changes it
+GOLDEN_CENSUS = "03fb82cb05e8178fb0028eb9ae4431d8a402436c92307abf46b1b99b5e97476a"
+
+
+def test_every_product_of_two_left_factor_classes_factors():
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    products = 0
+    for a, b in ((2, 4), (3, 3), (2, 5), (3, 4)):
+        for left in _left_factors(a):
+            for right in _left_factors(b):
+                g = random_relabeling(direct_product(left.graph, right.graph), rng)
+                w = find_factorization(g)
+                assert w is not None and reference_witness_is_valid(g, w), (left.graph, right.graph)
+                edges = (sorted(w.factor_a.edges), sorted(w.factor_b.edges))
+                key = (w.factor_a.node_count, w.factor_b.node_count, *edges, w.labeling)
+                h.update(repr(key).encode() + b"\n")
+                products += 1
+    assert products == 540 + 400 + 3264 + 1800
+    assert h.hexdigest() == GOLDEN_CENSUS
+
+
 @pytest.mark.parametrize("a", [2, 3, 4])
 def test_per_matrix_counts_match_the_graph_of_each_matrix(a):
     for mat in _symmetric_matrices(a):
